@@ -245,10 +245,8 @@ class Runner:
                              viol <= 1e-9 * scale, viol, 1e-9 * scale))
         if k:
             ratios = ulagrangian.little_oh_check(ctx, [1e-1, 1e-2, 1e-3])
-            decreasing = all(ratios[i + 1][1] <= ratios[i][1] + 1e-12
-                             for i in range(len(ratios) - 1))
             checks.append(_check("selection_little_oh",
-                                 decreasing and ratios[-1][1] <= 0.05,
+                                 ulagrangian.little_oh_holds(ratios, 0.05),
                                  ratios, 0.05))
             bound = ulagrangian.lipschitz_gradient_bound(ctx, grid)
             checks.append(_check("gradient_lipschitz_bound_finite",

@@ -52,6 +52,25 @@ def grid_from_callable(fun, box, resolution):
     return gf
 
 
+# Nodes per batch of grid_from_batches: large enough to amortize the Python
+# overhead, small enough that the batch temporaries of a 401^2 grid stay
+# below the size of its node array.
+GRID_BLOCK = 8192
+
+
+def grid_from_batches(fun_many, box, resolution):
+    """grid_from_callable for a batched function: fun_many maps a block of
+    node rows to their values, GRID_BLOCK nodes at a time."""
+    gf = GridFunction(box=box, resolution=resolution,
+                      values=np.zeros(tuple(np.atleast_1d(resolution))))
+    nodes = gf.nodes()
+    vals = np.empty(len(nodes))
+    for s in range(0, len(nodes), GRID_BLOCK):
+        vals[s:s + GRID_BLOCK] = fun_many(nodes[s:s + GRID_BLOCK])
+    gf.values = vals.reshape(gf.resolution)
+    return gf
+
+
 def _lower_hull_1d(x, y):
     """Lower convex hull by monotone chain; returns hull vertex indices."""
     hull = []
@@ -212,20 +231,23 @@ def grid_from_csv(text):
 
 def anchored_grid(model, frame, eps=None, resolution=201):
     """h(w) = f(base + w) on the product ball, as a grid in frame coordinates."""
-    from .oracle import evaluate
+    from .oracle import evaluate_many
     eps = eps if eps is not None else frame.eps
     d = frame.dim
     box = np.tile([-eps, eps], (d, 1))
+    k = frame.dim_u
 
-    def h(coords):
-        w = np.zeros(d)
-        if frame.dim_u:
-            w += frame.u_basis @ coords[:frame.dim_u]
+    def h_many(coords):
+        # w = U c_U + V c_V row by row; the stacked matmuls round exactly
+        # like the per-point products U @ c_U and V @ c_V
+        w = np.zeros(coords.shape)
+        if k:
+            w += np.matmul(frame.u_basis, coords[:, :k, None])[:, :, 0]
         if frame.dim_v:
-            w += frame.v_basis @ coords[frame.dim_u:]
-        return evaluate(model, frame.base_point + w)
+            w += np.matmul(frame.v_basis, coords[:, k:, None])[:, :, 0]
+        return evaluate_many(model, frame.base_point + w)
 
-    return grid_from_callable(h, box, (resolution,) * d)
+    return grid_from_batches(h_many, box, (resolution,) * d)
 
 
 def envelope_agreement_check(model, frame, trace_points, resolution=101,

@@ -31,6 +31,13 @@ class QuadraticPiece:
     def value(self, x):
         return float(0.5 * x @ self.A @ x + self.b @ x + self.c)
 
+    def values(self, X):
+        """value() of every row of X, bit for bit: the stacked matmul runs the
+        same vector-matrix kernel per row as the scalar form (X @ A and
+        einsum round differently)."""
+        Y = np.matmul((0.5 * X)[:, None, :], self.A)[:, 0, :]
+        return np.vecdot(Y, X) + np.vecdot(self.b, X) + self.c
+
     def gradient(self, x):
         return self.A @ x + self.b
 
@@ -61,6 +68,10 @@ class AffinePiece:
     def value(self, x):
         return float(self.a @ x + self.b)
 
+    def values(self, X):
+        """value() of every row of X, bit for bit."""
+        return np.vecdot(self.a, X) + self.b
+
     def gradient(self, x):
         return self.a
 
@@ -86,6 +97,9 @@ class CallablePiece:
 
     def value(self, x):
         return float(self._value(x))
+
+    def values(self, X):
+        return np.array([self.value(x) for x in X], dtype=float)
 
     def gradient(self, x):
         if self._gradient is None:
@@ -191,13 +205,58 @@ def evaluate(model, x):
     if model.kind == "max_of_smooth":
         return max(p.value(x) for p in model.pieces)
     if model.kind == "sum_of_smooth_and_polyhedral":
-        v = sum(p.value(x) for p in model.pieces)
+        # plain left-to-right sum, as in evaluate_many (the builtin sum()
+        # compensates its rounding from Python 3.12 on)
+        v = 0.0
+        for p in model.pieces:
+            v += p.value(x)
         if model.polyhedral_part:
             v += max(p.value(x) for p in model.polyhedral_part)
         return float(v)
     if model.value_fn is None:
         raise CapabilityMissing("custom model has no value oracle")
     return float(model.value_fn(x))
+
+
+def _check_points(model, X):
+    X = np.ascontiguousarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != model.dim:
+        raise InvalidPoint(f"expected points in R^{model.dim} as rows, "
+                           f"got shape {X.shape}")
+    if not np.all(np.isfinite(X)):
+        raise InvalidPoint("evaluation points contain NaN or inf")
+    return X
+
+
+def _max_rows(columns):
+    """Row-wise max() of per-piece value arrays: like the builtin, a later
+    piece replaces the running max only when strictly greater."""
+    out = columns[0]
+    for col in columns[1:]:
+        out = np.where(col > out, col, out)
+    return out
+
+
+def evaluate_many(model, X):
+    """f at every row of the (m, n) array X, equal bit for bit to
+    [evaluate(model, x) for x in X].
+
+    The point checks run once per batch.  Quadratic and affine pieces are
+    evaluated for all rows at once; callable pieces and custom models fall
+    back to one call per row."""
+    X = _check_points(model, X)
+    if model.kind == "max_of_smooth":
+        return _max_rows([p.values(X) for p in model.pieces])
+    if model.kind == "sum_of_smooth_and_polyhedral":
+        v = np.zeros(len(X))
+        for p in model.pieces:
+            v = v + p.values(X)
+        if model.polyhedral_part:
+            v = v + _max_rows([p.values(X) for p in model.polyhedral_part])
+        return v
+    if model.value_fn is None:
+        raise CapabilityMissing("custom model has no value oracle")
+    return np.array([float(model.value_fn(x)) for x in X], dtype=float)
 
 
 def active_set(model, x, tau=DEFAULT_ACTIVE_TOL):

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import (CapabilityMissing, EmptyBundle, LambdaTooLarge,
                      NotASubspace, SingularHessian)
 from .oracle import (QuadraticPiece, FunctionModel, Flags, active_set, evaluate,
-                     subdifferential_polytope)
+                     evaluate_many, subdifferential_polytope)
 from .solvers import (DEFAULT_SOLVER, cluster_minimizers, minimize_branches,
                       sphere_directions, _offset_lattice)
 from . import vu
@@ -66,8 +66,9 @@ def fd_hessian_from_gradient(grad, x, step=1e-4):
 # ---------------------------------------------------------------------------
 # quotients and shell traces
 
-def delta2(model, x, z, t, u):
-    """Second-order difference quotient 2[f(x+tu) - f(x) - t<z,u>]/t^2."""
+def delta2(model, x, z, t, u, fx=None):
+    """Second-order difference quotient 2[f(x+tu) - f(x) - t<z,u>]/t^2;
+    fx, when given, is f(x) and saves its evaluation."""
     if t == 0.0:
         raise ValueError("t must be nonzero")
     x = np.asarray(x, dtype=float)
@@ -75,7 +76,8 @@ def delta2(model, x, z, t, u):
     fxt = evaluate(model, x + t * u)
     if not np.isfinite(fxt):
         return np.inf
-    fx = evaluate(model, x)
+    if fx is None:
+        fx = evaluate(model, x)
     return 2.0 * (fxt - fx - t * float(np.dot(z, u))) / t**2
 
 
@@ -104,7 +106,7 @@ class ShellTrace:
         return bool(v[-1] > threshold and increasing)
 
 
-def _min_over_direction_ball(model, x, z, h, t, radius, refine=2):
+def _min_over_direction_ball(model, x, z, h, t, radius, refine, fx):
     """min of Delta2 over directions u near h with ||u|| = ||h||,
     deterministic lattice plus shrinking pattern refinement.
 
@@ -126,11 +128,11 @@ def _min_over_direction_ball(model, x, z, h, t, radius, refine=2):
 
     rad = radius
     best_u = h
-    best = delta2(model, x, z, t, h)
+    best = delta2(model, x, z, t, h, fx)
     for _ in range(refine + 1):
         for o in offs[1:]:
             u = project(best_u + rad * o)
-            val = delta2(model, x, z, t, u)
+            val = delta2(model, x, z, t, u, fx)
             if val < best:
                 best, best_u = val, u
         rad *= 0.3
@@ -149,10 +151,11 @@ def dini_second(model, x, z, h, t_grid=None, dir_ball=0.1, ball_radius=None,
     z = np.asarray(z, dtype=float)
     h = np.asarray(h, dtype=float)
     ts = np.asarray(t_grid if t_grid is not None else default_t_grid())
+    fx = evaluate(model, x)
     vals = np.empty(len(ts))
     for i, t in enumerate(ts):
         r = ball_radius if ball_radius is not None else dir_ball * t
-        vals[i] = _min_over_direction_ball(model, x, z, h, t, r, refine)
+        vals[i] = _min_over_direction_ball(model, x, z, h, t, r, refine, fx)
     return ShellTrace(ts=np.array(ts), values=vals)
 
 
@@ -173,7 +176,6 @@ class RankOneConfig:
     z_radius: float = 0.5
     f_radius: float = 0.5
     active_tol: float = 1e-9
-    probes: list = None  # resolved probe list (x', z'); filled lazily
 
 
 @dataclass
@@ -235,11 +237,13 @@ def _symmetric_estimate(model, xp, zp, h, ts, ball_radius, cfg):
     return False, float(min(vals)), (tp, tm)
 
 
-def rank1_support(model, x, z, h, cfg=None):
+def rank1_support(model, x, z, h, cfg=None, probes=None):
     """Rank-1 support q of the limiting subhessian along unit direction h.
 
     Value = sup over the base point and attentive probes of the symmetric
     Dini estimate; divergent as soon as one probe diverges in both +-h.
+    probes, when given, is attentive_probes(model, x, z, cfg), so that
+    callers querying many directions at one (x, z) compute it once.
     """
     cfg = cfg or RankOneConfig()
     h = np.asarray(h, dtype=float)
@@ -248,9 +252,9 @@ def rank1_support(model, x, z, h, cfg=None):
                                h, ts, None, cfg)
     results = [base]
     if cfg.attentive:
-        if cfg.probes is None:
-            cfg.probes = attentive_probes(model, x, z, cfg)
-        for xp, zp, rho in cfg.probes:
+        if probes is None:
+            probes = attentive_probes(model, x, z, cfg)
+        for xp, zp, rho in probes:
             pts = rho * np.asarray(cfg.probe_t_fracs)
             ball = cfg.probe_ball_scale * rho
             results.append(_symmetric_estimate(model, xp, zp, h, pts, ball, cfg))
@@ -311,15 +315,14 @@ def second_order_component(model, x, z, dir_grid=None, cfg=None, check_pairs=6):
     if dir_grid is None:
         dir_grid = sphere_directions(model.dim, 64 if model.dim >= 2 else 2)
     dir_grid = np.atleast_2d(np.asarray(dir_grid, dtype=float))
-    if cfg.attentive and cfg.probes is None:
-        cfg.probes = attentive_probes(model, x, z, cfg)
+    probes = attentive_probes(model, x, z, cfg) if cfg.attentive else None
 
     values = [None] * len(dir_grid)
     done = [False] * len(dir_grid)
     for i, h in enumerate(dir_grid):
         if done[i]:
             continue
-        res = rank1_support(model, x, z, h, cfg)
+        res = rank1_support(model, x, z, h, cfg, probes)
         values[i] = None if res.divergent else res.value
         done[i] = True
         for j in range(i + 1, len(dir_grid)):   # antipode shares the value
@@ -331,7 +334,7 @@ def second_order_component(model, x, z, dir_grid=None, cfg=None, check_pairs=6):
         directions=dir_grid, values=values,
         divergence_threshold=cfg.divergence_threshold,
         t_grid=np.asarray(cfg.t_grid if cfg.t_grid is not None else default_t_grid()),
-        support=lambda h: rank1_support(model, x, z, h, cfg))
+        support=lambda h: rank1_support(model, x, z, h, cfg, probes))
 
     finite = profile.finite_directions()
     if len(finite) == 0:
@@ -357,7 +360,7 @@ def second_order_component(model, x, z, dir_grid=None, cfg=None, check_pairs=6):
             nm = np.linalg.norm(m)
             if nm < 1e-8:
                 continue
-            res = rank1_support(model, x, z, m / nm, cfg)
+            res = rank1_support(model, x, z, m / nm, cfg, probes)
             checked += 1
             if res.divergent:
                 raise NotASubspace(
@@ -634,7 +637,7 @@ def hessian_duality_check(model, x, fd_step=1e-5, box_half=2.0, resolution=401,
     """Residual ||grad^2 f*(z) - Q^{-1}||_F with Q the finite-difference
     Hessian at x, z the gradient, and f* sampled from the discrete conjugate
     over a primal grid (dual Hessian by local quadratic fit)."""
-    from .envelope import conjugate_at, grid_from_callable
+    from .envelope import conjugate_at, grid_from_batches
     x = np.asarray(x, dtype=float)
     fun = lambda p: evaluate(model, p)
     Q = fd_hessian(fun, x, fd_step)
@@ -644,7 +647,8 @@ def hessian_duality_check(model, x, fd_step=1e-5, box_half=2.0, resolution=401,
         raise SingularHessian("finite-difference Hessian is not positive definite")
     d = model.dim
     box = np.column_stack([x - box_half, x + box_half])
-    gf = grid_from_callable(fun, box, (resolution,) * d)
+    gf = grid_from_batches(lambda P: evaluate_many(model, P), box,
+                           (resolution,) * d)
     offsets = dual_step * np.array(
         np.meshgrid(*([np.arange(-stencil_half, stencil_half + 1)] * d),
                     indexing="ij")).reshape(d, -1).T
@@ -662,10 +666,11 @@ def uniform_bound_check(model, x, z, u2_basis, cfg=None):
     k = u2.shape[1]
     if k == 0:
         return 0.0
+    probes = attentive_probes(model, x, z, cfg) if cfg.attentive else None
     m_hat = -np.inf
     for w in sphere_directions(k, 16 if k >= 2 else 2):
         h = u2 @ w
-        res = rank1_support(model, x, z, h / np.linalg.norm(h), cfg)
+        res = rank1_support(model, x, z, h / np.linalg.norm(h), cfg, probes)
         if res.divergent:
             return np.inf
         m_hat = max(m_hat, res.value)

@@ -227,6 +227,22 @@ def little_oh_check(ctx, radii, n_dirs=None):
     return out
 
 
+# A selection norm ||v(u)|| of at most this many machine epsilons is rounding
+# noise: the exact selection v = 0 of abs_diff reads about 6.5 eps.
+LITTLE_OH_NOISE_EPS = 64.0
+
+
+def little_oh_holds(ratios, tol):
+    """Verdict on little_oh_check ratios: nonincreasing in r and at most tol
+    at the last radius.  A ratio at or below the noise floor
+    LITTLE_OH_NOISE_EPS * eps / r counts as zero, so an exact zero selection
+    is not failed for ratios that grow like eps / r."""
+    floor = LITTLE_OH_NOISE_EPS * np.finfo(float).eps
+    q = [0.0 if ratio <= floor / r else ratio for r, ratio in ratios]
+    decreasing = all(q[i + 1] <= q[i] + 1e-12 for i in range(len(q) - 1))
+    return decreasing and q[-1] <= tol
+
+
 def common_selection_check(ctx, u_grid, tilt_mags=(-0.05, 0.0, 0.05)):
     """Max deviation of v(u) when the V'-tilt moves around the anchor; small
     deviations certify the common-selection hypothesis numerically."""

@@ -201,15 +201,3 @@ def frame_from_json(text):
                    v_basis=np.array(d["v_basis"]).reshape(len(d["base_point"]), -1),
                    eps=float(d["eps"]))
 
-
-def frame_for_model(model, base_point=None, anchor=None, eps=None, tau=1e-9,
-                    rank_tol=DEFAULT_RANK_TOL):
-    """Convenience: polytope -> anchor (zero if feasible, else centroid) -> frame."""
-    base_point = (np.asarray(base_point, float) if base_point is not None
-                  else model.meta.get("default_base_point", np.zeros(model.dim)))
-    eps = eps if eps is not None else model.meta.get("default_radius", 1.0)
-    poly = subdifferential_polytope(model, base_point, tau)
-    if anchor is None:
-        zero = np.zeros(model.dim)
-        anchor = zero if in_hull(poly.generators, zero) else relative_interior_point(poly)
-    return decompose(poly, anchor, rank_tol=rank_tol, eps=eps)

@@ -174,3 +174,16 @@ def test_workers_env_cap(tmp_path, monkeypatch, capsys):
     code = cli.main(["decompose", "--problem", "abs_diff",
                      "--out", str(tmp_path)])
     assert code == 0
+
+
+@pytest.mark.parametrize("problem", ["abs_diff", "crossing_max",
+                                     "abs_plus_quad"])
+def test_lagrangian_selection_little_oh(tmp_path, problem):
+    """abs_diff's exact selection v = 0 passes despite its float-noise
+    ratios; the other two pass as before."""
+    manifest, code = run_campaign(problem, "lagrangian", tmp_path)
+    statuses = {c["name"]: c["status"]
+                for c in manifest["campaigns"]["lagrangian"]["checks"]}
+    assert code == 0
+    assert set(statuses.values()) == {"pass"}
+    assert "selection_little_oh" in statuses

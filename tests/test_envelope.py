@@ -158,3 +158,66 @@ def test_grid_csv_round_trip():
     assert np.array_equal(back.box, gf.box)
     assert back.resolution == gf.resolution
     assert env.grid_to_csv(back) == text
+
+
+# |x1 - x2 + x3/2| + ||x||^2 in R^3: U is a plane that the SVD spans by two
+# oblique vectors, so each node sums two rounded basis products
+TILTED_ABS_3D = {
+    "dim": 3, "kind": "sum_of_smooth_and_polyhedral",
+    "pieces": [{"type": "quadratic", "A": np.diag([2.0, 2.0, 2.0]).tolist()}],
+    "polyhedral_part": [{"type": "affine", "a": [1.0, -1.0, 0.5]},
+                        {"type": "affine", "a": [-1.0, 1.0, -0.5]}]}
+
+
+def _model_and_frame(problem):
+    from vulab import cli
+    if problem.startswith("tilted_abs_3d"):
+        model = oracle.model_from_dict(TILTED_ABS_3D)
+        poly = oracle.subdifferential_polytope(model, np.zeros(3))
+        frame = vu.decompose(poly, np.zeros(3), eps=0.5)
+        if problem.endswith("json"):    # row-major bases round differently
+            frame = vu.frame_from_json(vu.frame_to_json(frame))
+        return model, frame
+    runner = cli.Runner(cli.ExperimentConfig(problem=problem))
+    return runner.model, runner._frame()
+
+
+@pytest.mark.parametrize("problem", ["crossing_max", "abs_plus_quad",
+                                     "quadratic(I3)", "tilted_abs_3d",
+                                     "tilted_abs_3d_json"])
+def test_anchored_grid_matches_scalar_build(problem):
+    """The batched anchored grid equals a per-node scalar build bit for bit
+    (quadratic(I3) and tilted_abs_3d have U basis products of dimension 3
+    and 2)."""
+    model, frame = _model_and_frame(problem)
+
+    def h(coords):
+        w = np.zeros(frame.dim)
+        if frame.dim_u:
+            w += frame.u_basis @ coords[:frame.dim_u]
+        if frame.dim_v:
+            w += frame.v_basis @ coords[frame.dim_u:]
+        return oracle.evaluate(model, frame.base_point + w)
+
+    box = np.tile([-frame.eps, frame.eps], (frame.dim, 1))
+    expect = env.grid_from_callable(h, box, (41,) * frame.dim)
+    got = env.anchored_grid(model, frame, resolution=41)
+    assert got.resolution == expect.resolution
+    np.testing.assert_array_equal(got.values.view(np.uint64),
+                                  expect.values.view(np.uint64))
+
+
+def test_grid_from_batches_blocks():
+    """Grids larger than one block are filled in GRID_BLOCK-node batches."""
+    sizes = []
+
+    def fun_many(X):
+        sizes.append(len(X))
+        return X[:, 0] - 2.0 * X[:, 1]
+
+    res = (101, 91)
+    gf = env.grid_from_batches(fun_many, [[-1.0, 1.0], [0.0, 3.0]], res)
+    ref = env.grid_from_callable(lambda x: x[0] - 2.0 * x[1],
+                                 [[-1.0, 1.0], [0.0, 3.0]], res)
+    np.testing.assert_array_equal(gf.values, ref.values)
+    assert max(sizes) == env.GRID_BLOCK and sum(sizes) == 101 * 91

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from vulab import oracle
 from vulab.errors import CapabilityMissing, InvalidPoint, UnknownBuiltin
@@ -226,3 +228,106 @@ def test_json_problem_round_trip(tmp_path):
 
 def test_load_problem_builtin_shortcut():
     assert oracle.load_problem("abs_diff").name == "abs_diff"
+
+
+# ---------------------------------------------------------------------------
+# evaluate_many: the batched oracle equals the scalar one bit for bit
+
+BUILTINS = ("abs_diff", "four_quadrant_max", "crossing_max", "abs_plus_quad",
+            "huber_source_abs", "quadratic(I)", "quadratic(I3)",
+            "quadratic(-I)", "quadratic(diag(2,5))")
+
+
+def assert_bits_equal(got, expect):
+    got = np.asarray(got, dtype=float)
+    expect = np.asarray(expect, dtype=float)
+    assert got.shape == expect.shape
+    np.testing.assert_array_equal(got.view(np.uint64), expect.view(np.uint64))
+
+
+def scalar_values(model, X):
+    return [oracle.evaluate(model, x) for x in X]
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+def test_evaluate_many_builtins(name):
+    model = oracle.builtin(name)
+    rng = np.random.default_rng(7)
+    X = rng.uniform(-2.0, 2.0, size=(500, model.dim))
+    X[:50] = 0.0                 # kinks and exact ties of the pieces
+    if model.dim > 1:
+        X[50:100, 1] = X[50:100, 0]
+    assert_bits_equal(oracle.evaluate_many(model, X), scalar_values(model, X))
+
+
+_coef = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def json_models_and_points(draw):
+    n = draw(st.integers(1, 4))
+    vec = st.lists(_coef, min_size=n, max_size=n)
+
+    def piece(kind):
+        if kind == "affine":
+            return {"type": "affine", "a": draw(vec), "b": draw(_coef)}
+        return {"type": "quadratic",
+                "A": draw(st.lists(vec, min_size=n, max_size=n)),
+                "b": draw(vec), "c": draw(_coef)}
+
+    kinds = st.sampled_from(["quadratic", "affine"])
+    data = {"dim": n, "kind": draw(st.sampled_from(
+        ["max_of_smooth", "sum_of_smooth_and_polyhedral"]))}
+    data["pieces"] = [piece(k) for k in draw(st.lists(kinds, min_size=1,
+                                                       max_size=4))]
+    if data["kind"] == "sum_of_smooth_and_polyhedral":
+        data["polyhedral_part"] = [piece("affine") for _ in
+                                   range(draw(st.integers(0, 3)))]
+    X = draw(hnp.arrays(float, (draw(st.integers(1, 12)), n),
+                        elements=st.floats(-1e3, 1e3, allow_nan=False,
+                                           allow_infinity=False)))
+    return data, X
+
+
+@settings(max_examples=150, deadline=None)
+@given(json_models_and_points())
+@example((  # sum kind with several smooth pieces and a polyhedral part
+    {"dim": 3, "kind": "sum_of_smooth_and_polyhedral",
+     "pieces": [{"type": "quadratic", "A": [[2.0, 0.3, 0.0], [0.3, 1.0, 0.1],
+                                           [0.0, 0.1, 4.0]],
+                 "b": [0.1, -0.2, 0.3], "c": 0.7},
+                {"type": "quadratic", "A": [[1.0, -0.5, 0.2], [0.0, 3.0, 0.0],
+                                           [0.2, 0.0, 0.5]],
+                 "b": [1.0, 0.0, -1.0], "c": -0.3},
+                {"type": "affine", "a": [0.3, 0.3, -0.7], "b": 0.1}],
+     "polyhedral_part": [{"type": "affine", "a": [1.0, -1.0, 0.0], "b": 0.0},
+                         {"type": "affine", "a": [-1.0, 1.0, 0.5], "b": 0.2}]},
+    np.random.default_rng(3).uniform(-5.0, 5.0, size=(64, 3))))
+def test_evaluate_many_json_models(model_and_points):
+    data, X = model_and_points
+    model = oracle.model_from_dict(data)
+    assert_bits_equal(oracle.evaluate_many(model, X), scalar_values(model, X))
+
+
+def test_evaluate_many_rejects_bad_batches(crossing):
+    X = np.zeros((4, 2))
+    X[2, 1] = np.nan
+    with pytest.raises(InvalidPoint):
+        oracle.evaluate_many(crossing, X)
+    X[2, 1] = np.inf
+    with pytest.raises(InvalidPoint):
+        oracle.evaluate_many(crossing, X)
+    for shape in ((4, 3), (2,), (2, 2, 2)):
+        with pytest.raises(InvalidPoint):
+            oracle.evaluate_many(crossing, np.zeros(shape))
+
+
+def test_evaluate_many_custom_fallback(four_quadrant):
+    xs = np.linspace(-2.0, 2.0, 23)
+    X = np.array([[x, y] for x in xs for y in xs])
+    got = oracle.evaluate_many(four_quadrant, X)
+    assert_bits_equal(got, scalar_values(four_quadrant, X))
+    assert_bits_equal(got, [quadrant_table(x, y) for x, y in X])
+    opaque = oracle.FunctionModel(dim=2, kind="custom")
+    with pytest.raises(CapabilityMissing):
+        oracle.evaluate_many(opaque, X)

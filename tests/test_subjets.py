@@ -270,3 +270,49 @@ def test_uniform_bound(abs_diff_component, apq_component, abs_diff,
     u2q, _ = sj.second_order_component(q, np.zeros(2), np.zeros(2))
     mq = sj.uniform_bound_check(q, np.zeros(2), np.zeros(2), u2q)
     assert mq == pytest.approx(10.0, abs=1e-6)
+
+
+def test_dini_second_evaluates_f_x_once(abs_plus_quad, monkeypatch):
+    """dini_second passes one f(x) into every delta2 instead of letting each
+    quotient evaluate it again."""
+    x = np.array([0.2, -0.1])
+    z = oracle.subdifferential_polytope(abs_plus_quad, x).generators[0]
+    ts = sj.default_t_grid()
+    expect = sj.dini_second(abs_plus_quad, x, z, DIAG, t_grid=ts)
+    evaluate, delta2 = sj.evaluate, sj.delta2
+    counts = {"evaluate": 0, "delta2": 0}
+
+    def counted_evaluate(model, p):
+        counts["evaluate"] += 1
+        return evaluate(model, p)
+
+    def counted_delta2(*args, **kwargs):
+        counts["delta2"] += 1
+        return delta2(*args, **kwargs)
+
+    monkeypatch.setattr(sj, "evaluate", counted_evaluate)
+    monkeypatch.setattr(sj, "delta2", counted_delta2)
+    got = sj.dini_second(abs_plus_quad, x, z, DIAG, t_grid=ts)
+    assert counts["delta2"] > len(ts)
+    assert counts["evaluate"] == counts["delta2"] + 1
+    np.testing.assert_array_equal(got.values, expect.values)
+    fx = oracle.evaluate(abs_plus_quad, x)
+    for t in ts:
+        assert (sj.delta2(abs_plus_quad, x, z, t, ANTI, fx)
+                == sj.delta2(abs_plus_quad, x, z, t, ANTI))
+
+
+def test_rank1_config_reused_at_two_base_points(abs_plus_quad):
+    """A config reused at another (x, z) probes near that point, not near the
+    first one: off the kink, abs_plus_quad is smooth with Hessian 2I."""
+    cfg = sj.RankOneConfig()
+    at_kink = sj.rank1_support(abs_plus_quad, np.zeros(2), np.zeros(2), ANTI,
+                               cfg)
+    assert at_kink.divergent
+    x = np.array([0.5, -0.5])
+    z = oracle.subdifferential_polytope(abs_plus_quad, x).generators[0]
+    reused = sj.rank1_support(abs_plus_quad, x, z, ANTI, cfg)
+    fresh = sj.rank1_support(abs_plus_quad, x, z, ANTI, sj.RankOneConfig())
+    assert not reused.divergent
+    assert reused.value == fresh.value == pytest.approx(2.0, abs=1e-6)
+    assert len(reused.shells) == len(fresh.shells)

@@ -161,3 +161,19 @@ def test_inconsistent_gradient_detected():
     ctx = ug.ULagContext(model=lying, frame=frame)
     with pytest.raises(InconsistentGradient):
         ug.grad_l(ctx, np.array([0.5, 0.0]))
+
+
+def test_little_oh_noise_floor(apq_ctx, crossing_ctx):
+    """Ratios at the rounding floor of an exact selection v = 0 count as
+    zero; ratios above it must still decrease."""
+    eps = np.finfo(float).eps
+    noise = [(r, 6.5 * eps / r) for r in (1e-1, 1e-2, 1e-3)]   # abs_diff
+    assert ug.little_oh_holds(noise, 0.05)
+    growing = [(1e-1, 1e-6), (1e-2, 1e-5), (1e-3, 1e-4)]
+    assert not ug.little_oh_holds(growing, 0.05)
+    above_floor = [(1e-1, 0.0), (1e-2, 0.0), (1e-3, 100.0 * eps / 1e-3)]
+    assert not ug.little_oh_holds(above_floor, 0.05)
+    assert not ug.little_oh_holds([(1e-1, 0.2), (1e-2, 0.1)], 0.05)
+    for ctx in (apq_ctx, crossing_ctx):
+        assert ug.little_oh_holds(
+            ug.little_oh_check(ctx, [1e-1, 1e-2, 1e-3]), 0.05)
