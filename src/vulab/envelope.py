@@ -44,14 +44,6 @@ class GridFunction:
                          for i in range(self.dim)])
 
 
-def grid_from_callable(fun, box, resolution):
-    gf = GridFunction(box=box, resolution=resolution,
-                      values=np.zeros(tuple(np.atleast_1d(resolution))))
-    vals = np.array([fun(x) for x in gf.nodes()])
-    gf.values = vals.reshape(gf.resolution)
-    return gf
-
-
 # Nodes per batch of grid_from_batches: large enough to amortize the Python
 # overhead, small enough that the batch temporaries of a 401^2 grid stay
 # below the size of its node array.
@@ -59,8 +51,8 @@ GRID_BLOCK = 8192
 
 
 def grid_from_batches(fun_many, box, resolution):
-    """grid_from_callable for a batched function: fun_many maps a block of
-    node rows to their values, GRID_BLOCK nodes at a time."""
+    """Grid of fun_many's values at the nodes: fun_many maps a block of node
+    rows to their values, GRID_BLOCK nodes at a time."""
     gf = GridFunction(box=box, resolution=resolution,
                       values=np.zeros(tuple(np.atleast_1d(resolution))))
     nodes = gf.nodes()
@@ -69,6 +61,11 @@ def grid_from_batches(fun_many, box, resolution):
         vals[s:s + GRID_BLOCK] = fun_many(nodes[s:s + GRID_BLOCK])
     gf.values = vals.reshape(gf.resolution)
     return gf
+
+
+def grid_from_callable(fun, box, resolution):
+    """grid_from_batches for a function of one node."""
+    return grid_from_batches(lambda X: [fun(x) for x in X], box, resolution)
 
 
 def _lower_hull_1d(x, y):
