@@ -181,11 +181,7 @@ class Runner:
                                  "lipschitz_estimate": verdict.lipschitz_estimate,
                                  "witness": verdict.witness})]
         if self.model.flags.convex:
-            mono = np.inf
-            for i, p in enumerate(verdict.probes):
-                for q in verdict.probes[i + 1:]:
-                    mono = min(mono, float((p.minimizer - q.minimizer)
-                                           @ (p.z - q.z)))
+            mono = tilt.monotonicity_margin(verdict.probes)
             checks.append(_check("tilt_map_monotone", mono >= -1e-10, mono,
                                  -1e-10))
         r_hat = tilt.prox_regularity_test(

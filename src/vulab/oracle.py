@@ -492,11 +492,19 @@ def builtin(name):
 # JSON problem files
 
 def model_from_dict(data):
-    """Build a model from {dim, kind, pieces: [...], flags: {...}}."""
+    """Build a model from {dim, kind, pieces: [...], flags: {...}}.
+
+    Raises ValueError for an unknown piece type or a quadratic piece whose A
+    is not exactly symmetric."""
     pieces = []
-    for p in data.get("pieces", []):
+    for i, p in enumerate(data.get("pieces", [])):
         if p["type"] == "quadratic":
-            pieces.append(QuadraticPiece(p["A"], p.get("b"), p.get("c", 0.0)))
+            piece = QuadraticPiece(p["A"], p.get("b"), p.get("c", 0.0))
+            # gradient() returns A x + b, which is the gradient only for a
+            # symmetric A
+            if not np.array_equal(piece.A, piece.A.T):
+                raise ValueError(f"pieces[{i}]: quadratic A is not symmetric")
+            pieces.append(piece)
         elif p["type"] == "affine":
             pieces.append(AffinePiece(p["a"], p.get("b", 0.0)))
         else:

@@ -5,6 +5,7 @@ come from fixed lattices so repeated runs produce identical bytes.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 import warnings
 
@@ -62,8 +63,10 @@ def sphere_directions(dim, count):
     return np.unique(np.round(pts, 12), axis=0)
 
 
+@lru_cache(maxsize=None)
 def _offset_lattice(dim):
-    """Origin, axis steps and two-axis diagonals; used by polish and ball minimization."""
+    """Origin, axis steps and two-axis diagonals; used by polish and ball
+    minimization.  Cached per dimension, so the array is read-only."""
     offs = [np.zeros(dim)]
     eye = np.eye(dim)
     for i in range(dim):
@@ -73,36 +76,61 @@ def _offset_lattice(dim):
             for si, sj in product((1.0, -1.0), repeat=2):
                 v = si * eye[i] + sj * eye[j]
                 offs.append(v / np.sqrt(2.0))
-    return np.array(offs)
+    offs = np.array(offs)
+    offs.setflags(write=False)
+    return offs
+
+
+# Accepted moves after which pattern_polish gives up.  No polish of the timed
+# benchmark workloads takes more than 17; one that reaches the cap is crawling
+# along the ball with a step too small for the distance left.
+POLISH_MAX_MOVES = 1000
 
 
 def pattern_polish(fun, x0, center, radius, step, floor):
     """Deterministic compass/diagonal descent inside the closed ball.
 
     Value-based, so it sharpens kink minimizers that smooth solvers leave at
-    ~1e-8 down to ~1e-13 without derivative information.
+    ~1e-8 down to ~1e-13 without derivative information.  `fun` is batched:
+    it maps an (m, dim) array of points to their m values.  A sweep evaluates
+    its remaining candidates in one call and accepts the first improving one,
+    then re-batches the offsets after it from the new point, so the search
+    path is the same as a one-candidate-at-a-time scan.
+
+    Returns (x, fx, capped).  After POLISH_MAX_MOVES accepted moves it stops,
+    warns SolverBudgetExceeded and returns capped = True.
     """
-    dim = len(x0)
-    if dim == 0:
-        return x0, fun(x0)
-    offs = _offset_lattice(dim)[1:]
     x = np.array(x0, dtype=float)
-    fx = fun(x)
+    fx = fun(x[None, :])[0]
+    offs = _offset_lattice(len(x))[1:]
     s = step
+    moves = 0
     while s > floor:
         improved = False
-        for d in offs:
-            cand = x + s * d
-            r = np.linalg.norm(cand - center)
-            if r > radius:
-                cand = center + (cand - center) * (radius / r)
-            fc = fun(cand)
-            if fc < fx - 1e-18:
-                x, fx = cand, fc
-                improved = True
+        k = 0
+        while k < len(offs):
+            cands = x + s * offs[k:]
+            D = cands - center
+            r = np.sqrt(np.vecdot(D, D))
+            out = r > radius
+            if out.any():
+                cands[out] = center + D[out] * (radius / r[out])[:, None]
+            vals = fun(cands)
+            better = np.flatnonzero(vals < fx - 1e-18)
+            if not better.size:
+                break
+            j = better[0]
+            x, fx = cands[j], vals[j]
+            improved = True
+            moves += 1
+            if moves >= POLISH_MAX_MOVES:
+                warnings.warn("pattern polish hit its move cap",
+                              SolverBudgetExceeded)
+                return x, fx, True
+            k += j + 1
         if not improved:
             s *= 0.25
-    return x, fx
+    return x, fx, False
 
 
 def _epigraph_solve(max_pieces, sum_pieces, center, radius, x0, cfg):
@@ -163,20 +191,17 @@ def _epigraph_solve(max_pieces, sum_pieces, center, radius, x0, cfg):
 
 
 def _nelder_mead(fun, x0, center, radius, cfg):
-    def penalized(x):
+    """Unstructured fallback: Nelder-Mead on the batched `fun`, one row at a
+    time, with points outside the ball projected onto it."""
+    def project(x):
         r = np.linalg.norm(x - center)
-        if r > radius:
-            x = center + (x - center) * (radius / r)
-        return fun(x)
+        return center + (x - center) * (radius / r) if r > radius else x
 
-    res = minimize(penalized, x0, method="Nelder-Mead",
+    res = minimize(lambda x: fun(project(x)[None, :])[0], x0,
+                   method="Nelder-Mead",
                    options={"maxiter": 40 * cfg.max_iters, "xatol": 1e-12,
                             "fatol": 1e-14})
-    x = np.asarray(res.x, dtype=float)
-    r = np.linalg.norm(x - center)
-    if r > radius:
-        x = center + (x - center) * (radius / r)
-    return x, True, res.nit
+    return project(np.asarray(res.x, dtype=float))
 
 
 @dataclass
@@ -190,40 +215,45 @@ def minimize_branches(branches, objective, center, radius, cfg=None, starts=None
     """Multistart minimization of a piecewise-smooth objective over a closed ball.
 
     `branches` is a list of (max_pieces, sum_pieces) descriptions covering the
-    objective (the global min is the min over branches); `objective` is the
-    plain callable used for polish and the unstructured fallback.
+    objective (the global min is the min over branches).  `objective` is
+    batched, mapping an (m, dim) array of points to their m values; it gives
+    the polish, the recorded values and the unstructured fallback.  A solve
+    that hits its iteration budget or a polish that hits its move cap marks
+    the result approximate.
     """
     cfg = cfg or DEFAULT_SOLVER
     dim = len(center)
     if dim == 0:
-        z = np.zeros(0)
-        return BallMinimizeResult(points=z[None, :], values=np.array([objective(z)]))
+        z = np.zeros((1, 0))
+        return BallMinimizeResult(points=z, values=objective(z))
     if starts is None:
         starts = center + ball_lattice(dim, 0.9 * radius, cfg.starts_per_axis)
     pts, vals = [], []
     approximate = False
     for x0 in starts:
+        x0 = np.asarray(x0, float)
         if branches:
+            found = []
             for max_pieces, sum_pieces in branches:
                 x, ok, nit = _epigraph_solve(max_pieces, sum_pieces, center,
-                                             radius, np.asarray(x0, float), cfg)
+                                             radius, x0, cfg)
                 if not ok and nit >= cfg.max_iters:
                     approximate = True
                     warnings.warn("inner solver hit its iteration budget",
                                   SolverBudgetExceeded)
-                if cfg.polish:
-                    x, _ = pattern_polish(objective, x, center, radius,
-                                          cfg.polish_step, cfg.polish_floor)
-                pts.append(x)
-                vals.append(objective(x))
+                found.append(x)
         else:
-            x, ok, nit = _nelder_mead(objective, np.asarray(x0, float), center,
-                                      radius, cfg)
+            found = [_nelder_mead(objective, x0, center, radius, cfg)]
+        for x in found:
             if cfg.polish:
-                x, _ = pattern_polish(objective, x, center, radius,
-                                      cfg.polish_step, cfg.polish_floor)
+                x, fx, capped = pattern_polish(objective, x, center, radius,
+                                               cfg.polish_step,
+                                               cfg.polish_floor)
+                approximate = approximate or capped
+            else:
+                fx = objective(x[None, :])[0]
             pts.append(x)
-            vals.append(objective(x))
+            vals.append(fx)
     return BallMinimizeResult(points=np.array(pts), values=np.array(vals),
                               approximate=approximate)
 

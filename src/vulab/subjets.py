@@ -544,8 +544,9 @@ def moreau_envelope(model, lam, x, solver_cfg=None, search_radius=None):
     if branches is not None:
         branches = [(mp, sp + [prox_piece]) for mp, sp in branches]
 
-    def objective(u):
-        return evaluate(model, u) + float(np.sum((x - u) ** 2)) / (2.0 * lam)
+    def objective(U):
+        return (evaluate_many(model, U)
+                + np.sum((x - U) ** 2, axis=1) / (2.0 * lam))
 
     for attempt in range(3):
         res = minimize_branches(branches, objective, x, radius, cfg)
@@ -553,7 +554,7 @@ def moreau_envelope(model, lam, x, solver_cfg=None, search_radius=None):
                                         1e-9 * (1 + abs(res.values.min())), 1e-9)
         prox = min(reps, key=lambda p: (np.linalg.norm(p - x), tuple(p)))
         if np.linalg.norm(prox - x) < radius * (1.0 - 1e-6):
-            return float(objective(prox)), np.asarray(prox, dtype=float)
+            return float(objective(prox[None, :])[0]), np.asarray(prox, dtype=float)
         radius *= 4.0
     raise LambdaTooLarge("prox search kept hitting the search-ball boundary")
 

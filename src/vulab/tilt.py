@@ -8,7 +8,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .oracle import AffinePiece, evaluate, subdifferential_polytope
+from .oracle import (AffinePiece, evaluate, evaluate_many,
+                     subdifferential_polytope)
 from .solvers import (DEFAULT_SOLVER, ball_lattice, cluster_minimizers,
                       hull_point_candidates, in_hull, minimize_branches)
 
@@ -55,8 +56,8 @@ def tilt_map(model, base_point, eps, z, solver_cfg=None):
     z = np.asarray(z, dtype=float)
     cfg = solver_cfg or DEFAULT_SOLVER
 
-    def objective(x):
-        return evaluate(model, x) - float(z @ x)
+    def objective(X):
+        return evaluate_many(model, X) - np.vecdot(z, X)
 
     res = minimize_branches(_tilted_branches(model, z), objective, base_point,
                             eps, cfg)
@@ -94,19 +95,40 @@ def tilt_stability_test(model, base_point, eps, tilt_radius=None, grid_size=11,
     for p in probes:
         if np.linalg.norm(p.z) < 1e-15:
             center_ok = float(np.linalg.norm(p.minimizer - base_point)) <= 1e-8
-    lip = 0.0
-    for i in range(len(probes)):
-        for j in range(i + 1, len(probes)):
-            dz = np.linalg.norm(probes[i].z - probes[j].z)
-            if dz < 1e-14:
-                continue
-            dm = np.linalg.norm(probes[i].minimizer - probes[j].minimizer)
-            lip = max(lip, dm / dz)
+    lip = lipschitz_estimate(probes)
     stable = witness is None and center_ok
     status = "inconclusive" if approximate else ("stable" if stable else "unstable")
     return StabilityVerdict(stable=stable and not approximate,
                             lipschitz_estimate=lip, witness=witness,
                             grid_radius=tilt_radius, status=status, probes=probes)
+
+
+def _pair_blocks(probes):
+    """(z_i - z_j, x_i - x_j) for the pairs i < j of the tilt map, one block
+    of rows per i, so memory stays linear in the probe count."""
+    Z = np.array([p.z for p in probes])
+    X = np.array([p.minimizer for p in probes])
+    for i in range(len(probes) - 1):
+        yield Z[i] - Z[i + 1:], X[i] - X[i + 1:]
+
+
+def lipschitz_estimate(probes):
+    """Max difference quotient ||x(z) - x(z')|| / ||z - z'|| of the tilt map
+    over all probe pairs with distinct tilts; 0.0 if there are none."""
+    lip = 0.0
+    for dz, dx in _pair_blocks(probes):
+        nz = np.sqrt(np.vecdot(dz, dz))
+        keep = nz >= 1e-14
+        nx = np.sqrt(np.vecdot(dx[keep], dx[keep]))
+        lip = max(lip, float(np.max(nx / nz[keep], initial=0.0)))
+    return lip
+
+
+def monotonicity_margin(probes):
+    """min <x(z) - x(z'), z - z'> over all probe pairs; nonnegative for the
+    tilt map of a convex function, +inf if there are no pairs."""
+    return min((float(np.min(np.vecdot(dx, dz)))
+                for dz, dx in _pair_blocks(probes)), default=np.inf)
 
 
 def prox_regularity_test(model, base_point, anchor_z, eps, r_grid,

@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BoundaryActive, InconsistentGradient
-from .oracle import evaluate, subdifferential_polytope
+from .oracle import (AffinePiece, evaluate, evaluate_many,
+                     subdifferential_polytope)
 from .solvers import (DEFAULT_SOLVER, cluster_minimizers, hull_distance,
                       minimize_branches, sphere_directions)
 from .vu import principal_angle
@@ -74,6 +75,21 @@ class ULagContext:
         return out
 
 
+def _anchored_objective(ctx, u, anchor_v):
+    """(base, objective) at u: base = x_bar + U' u, and the batched objective
+    V -> f(base + M v) - <anchor_v, v> over the rows v of V, with M the V'
+    basis.  The stacked matmul rounds each M v like the matrix-vector product,
+    and every inner solve and value query goes through this one float path."""
+    u = np.asarray(u, dtype=float)
+    base = ctx.frame.base_point + (ctx.uprime_basis @ u if ctx.dim_uprime else 0.0)
+    M = ctx.vprime_basis
+
+    def objective(V):
+        X = base + np.matmul(M, V[:, :, None])[:, :, 0]
+        return evaluate_many(ctx.model, X) - np.vecdot(anchor_v, V)
+    return base, objective
+
+
 def _inner_solve(ctx, u, anchor_v=None):
     """Minimize v -> f(base + u + v) - <anchor_V', v> over the V'-ball.
 
@@ -81,24 +97,19 @@ def _inner_solve(ctx, u, anchor_v=None):
     lexicographic order.
     """
     anchor_v = ctx.anchor_vprime if anchor_v is None else np.asarray(anchor_v, float)
-    u = np.asarray(u, dtype=float)
-    base = ctx.frame.base_point + (ctx.uprime_basis @ u if ctx.dim_uprime else 0.0)
-    M = ctx.vprime_basis
+    base, objective = _anchored_objective(ctx, u, anchor_v)
     if ctx.dim_vprime == 0:
         return np.zeros(0), evaluate(ctx.model, base), False
 
+    M = ctx.vprime_basis
     branches = ctx.model.solver_branches()
     if branches is not None:
-        from .oracle import AffinePiece
         tilt = AffinePiece(-anchor_v)
         restricted = [([p.restrict(base, M) for p in mp],
                        [p.restrict(base, M) for p in sp] + [tilt])
                       for mp, sp in branches]
     else:
         restricted = None
-
-    def objective(v):
-        return evaluate(ctx.model, base + M @ v) - float(anchor_v @ v)
 
     res = minimize_branches(restricted, objective, np.zeros(ctx.dim_vprime),
                             ctx.eps_v, ctx.solver_cfg)
@@ -111,14 +122,12 @@ def _inner_solve(ctx, u, anchor_v=None):
 
 
 def _anchored_value(ctx, u, v):
-    """f(base + u + v) - <anchor_V', v> along the same float path the inner
-    solver uses, so every value query is bit-identical to the solve."""
-    u = np.asarray(u, dtype=float)
-    base = ctx.frame.base_point + (ctx.uprime_basis @ u if ctx.dim_uprime else 0.0)
+    """f(base + u + v) - <anchor_V', v> through the objective of the inner
+    solve, so every value query is bit-identical to the solve."""
+    base, objective = _anchored_objective(ctx, u, ctx.anchor_vprime)
     if ctx.dim_vprime == 0:
         return evaluate(ctx.model, base)
-    return (evaluate(ctx.model, base + ctx.vprime_basis @ v)
-            - float(ctx.anchor_vprime @ v))
+    return float(objective(np.asarray(v, dtype=float)[None, :])[0])
 
 
 def _solve_cached(ctx, u):

@@ -1,9 +1,11 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 from vulab import cli
+from vulab.errors import SolverBudgetExceeded
 
 
 def run_campaign(problem, campaign, out, **kwargs):
@@ -187,3 +189,19 @@ def test_lagrangian_selection_little_oh(tmp_path, problem):
     assert code == 0
     assert set(statuses.values()) == {"pass"}
     assert "selection_little_oh" in statuses
+
+
+@pytest.mark.parametrize("problem", ["quadratic(-I)", "four_quadrant_max"])
+def test_tilt_test_capped_polish_exits_inconclusive(tmp_path, problem):
+    """Both used to hang in the polish; its move cap now makes the tilt
+    verdict inconclusive, so the run exits 2."""
+    config = cli.ExperimentConfig(problem=problem, campaign=["tilt-test"],
+                                  output_dir=str(tmp_path))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SolverBudgetExceeded)
+        manifest, code = cli.Runner(config).run()
+    assert code == 2 and manifest["overall"] == "inconclusive"
+    checks = {c["name"]: c for c in manifest["campaigns"]["tilt-test"]["checks"]}
+    assert checks["tilt_verdict_decisive"]["status"] == "inconclusive"
+    assert all(c["status"] == "pass" for name, c in checks.items()
+               if name != "tilt_verdict_decisive")

@@ -226,6 +226,26 @@ def test_json_problem_round_trip(tmp_path):
     assert sorted(map(tuple, gens)) == [(-1.0, 1.0), (1.0, -1.0)]
 
 
+def test_json_rejects_nonsymmetric_quadratic(tmp_path):
+    """gradient() is A x + b, the gradient only for a symmetric A, so a
+    nonsymmetric A is refused on load instead of giving wrong polytopes."""
+    data = {"dim": 2, "kind": "max_of_smooth",
+            "pieces": [{"type": "affine", "a": [1.0, 0.0]},
+                       {"type": "quadratic", "A": [[0.0, 2.0], [0.0, 0.0]]}]}
+    with pytest.raises(ValueError, match=r"pieces\[1\]"):
+        oracle.model_from_dict(data)
+    path = tmp_path / "skew.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError, match="not symmetric"):
+        oracle.load_problem(str(path))
+    data["pieces"][1]["A"] = [[0.0, 1.0], [1.0, 0.0]]
+    path.write_text(json.dumps(data))
+    model = oracle.load_problem(str(path))
+    x = np.array([1.0, 3.0])
+    assert oracle.evaluate(model, x) == 3.0
+    np.testing.assert_array_equal(model.pieces[1].gradient(x), [3.0, 1.0])
+
+
 def test_load_problem_builtin_shortcut():
     assert oracle.load_problem("abs_diff").name == "abs_diff"
 
@@ -271,9 +291,10 @@ def json_models_and_points(draw):
     def piece(kind):
         if kind == "affine":
             return {"type": "affine", "a": draw(vec), "b": draw(_coef)}
-        return {"type": "quadratic",
-                "A": draw(st.lists(vec, min_size=n, max_size=n)),
-                "b": draw(vec), "c": draw(_coef)}
+        # model_from_dict accepts only a symmetric A: mirror the upper triangle
+        rows = draw(st.lists(vec, min_size=n, max_size=n))
+        A = [[rows[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+        return {"type": "quadratic", "A": A, "b": draw(vec), "c": draw(_coef)}
 
     kinds = st.sampled_from(["quadratic", "affine"])
     data = {"dim": n, "kind": draw(st.sampled_from(
@@ -296,7 +317,7 @@ def json_models_and_points(draw):
      "pieces": [{"type": "quadratic", "A": [[2.0, 0.3, 0.0], [0.3, 1.0, 0.1],
                                            [0.0, 0.1, 4.0]],
                  "b": [0.1, -0.2, 0.3], "c": 0.7},
-                {"type": "quadratic", "A": [[1.0, -0.5, 0.2], [0.0, 3.0, 0.0],
+                {"type": "quadratic", "A": [[1.0, -0.5, 0.2], [-0.5, 3.0, 0.0],
                                            [0.2, 0.0, 0.5]],
                  "b": [1.0, 0.0, -1.0], "c": -0.3},
                 {"type": "affine", "a": [0.3, 0.3, -0.7], "b": 0.1}],

@@ -208,6 +208,22 @@ def test_moreau_envelope(abs_plus_quad):
         sj.moreau_envelope(neg_norm_squared(), 1.0, np.zeros(2))
 
 
+@pytest.mark.parametrize("name", ["huber_source_abs", "abs_plus_quad",
+                                  "four_quadrant_max", "quadratic(I3)"])
+def test_moreau_value_matches_scalar_form(name):
+    """The returned envelope value comes from the batched objective of the
+    prox solve and equals the scalar form f(p) + ||x - p||^2 / (2 lam) bit
+    for bit."""
+    model = oracle.builtin(name)
+    lam = 0.5
+    for s in (0.3, -0.2):
+        x = model.meta["default_base_point"] + s * np.arange(1, model.dim + 1)
+        val, prox = sj.moreau_envelope(model, lam, x)
+        scalar = (oracle.evaluate(model, prox)
+                  + float(np.sum((x - prox) ** 2)) / (2.0 * lam))
+        assert repr(val) == repr(scalar)
+
+
 def test_moreau_gradient_consistency(abs_plus_quad):
     env = sj.moreau_model(abs_plus_quad, 0.7)
     for x in (np.array([0.3, -0.1]), np.array([-0.4, 0.6])):

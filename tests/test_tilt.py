@@ -95,6 +95,50 @@ def test_stability_center_anchored(abs_plus_quad, crossing):
         assert np.linalg.norm(zero_probe.minimizer - base) <= 1e-8
 
 
+def pairwise_statistics(probes):
+    """Reference: the nested pair loops that lipschitz_estimate and
+    monotonicity_margin replace by array forms."""
+    lip, mono = 0.0, np.inf
+    for i in range(len(probes)):
+        for j in range(i + 1, len(probes)):
+            p, q = probes[i], probes[j]
+            mono = min(mono, float((p.minimizer - q.minimizer) @ (p.z - q.z)))
+            dz = np.linalg.norm(p.z - q.z)
+            if dz < 1e-14:
+                continue
+            lip = max(lip, np.linalg.norm(p.minimizer - q.minimizer) / dz)
+    return lip, mono
+
+
+def test_tilt_map_statistics_match_pair_loops(abs_plus_quad, crossing):
+    for model in (abs_plus_quad, crossing):
+        v = tilt.tilt_stability_test(model, model.meta["default_base_point"],
+                                     model.meta["default_radius"])
+        lip, mono = pairwise_statistics(v.probes)
+        assert repr(v.lipschitz_estimate) == repr(float(lip))
+        assert repr(tilt.monotonicity_margin(v.probes)) == repr(mono)
+    # repeated tilts are skipped by the quotient but not by the margin
+    rng = np.random.default_rng(5)
+    z = np.round(rng.uniform(-0.1, 0.1, size=(40, 3)), 2)
+    z[20:] = z[:20]
+    probes = [tilt.TiltProbeResult(z=zi, minimizers=rng.normal(size=(1, 3)),
+                                   value=0.0, single_valued=True) for zi in z]
+    lip, mono = pairwise_statistics(probes)
+    assert repr(tilt.lipschitz_estimate(probes)) == repr(float(lip))
+    assert repr(tilt.monotonicity_margin(probes)) == repr(mono)
+    assert tilt.lipschitz_estimate(probes[:1]) == 0.0
+    assert tilt.monotonicity_margin(probes[:1]) == np.inf
+
+
+def test_tilt_map_capped_polish_is_approximate():
+    """On quadratic(-I) the polish crawls towards the sphere; it stops at its
+    move cap and the probe is approximate rather than a wrong answer."""
+    with pytest.warns(SolverBudgetExceeded):
+        res = tilt.tilt_map(oracle.builtin("quadratic(-I)"), np.zeros(2), 1.0,
+                            np.zeros(2))
+    assert res.approximate
+
+
 def test_tilt_map_monotone_for_convex(abs_plus_quad):
     v = tilt.tilt_stability_test(abs_plus_quad, np.zeros(2), 1.0,
                                  tilt_radius=0.1, grid_size=5)

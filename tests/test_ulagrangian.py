@@ -177,3 +177,55 @@ def test_little_oh_noise_floor(apq_ctx, crossing_ctx):
     for ctx in (apq_ctx, crossing_ctx):
         assert ug.little_oh_holds(
             ug.little_oh_check(ctx, [1e-1, 1e-2, 1e-3]), 0.05)
+
+
+def test_cached_value_is_the_solve_value(apq_ctx, crossing_ctx, monkeypatch):
+    """The value cached for u is the value the inner solve recorded for the
+    selected v, bit for bit: both come from the same batched objective.  (The
+    selection is the smallest-norm near-optimal point, so this value can sit
+    a few ulps above the solve's best.)"""
+    solves, solve = [], ug.minimize_branches
+
+    def recording(*args, **kwargs):
+        solves.append(solve(*args, **kwargs))
+        return solves[-1]
+
+    monkeypatch.setattr(ug, "minimize_branches", recording)
+    for shared in (apq_ctx, crossing_ctx):
+        ctx = ug.ULagContext(model=shared.model, frame=shared.frame)
+        for t in (-0.1, -0.02, 0.0, 0.05, 0.1):
+            u = np.array([t])
+            v, cached, _ = ug._solve_cached(ctx, u)
+            res = solves[-1]
+            row = [i for i, p in enumerate(res.points) if np.array_equal(p, v)]
+            assert row
+            assert repr(float(cached)) == repr(float(res.values[row[0]]))
+            _, best, _ = ug._inner_solve(ctx, u)
+            assert best <= cached <= best + 1e-9 * (1.0 + abs(best))
+
+
+def test_anchored_objective_matches_scalar_form(four_quadrant):
+    """The stacked matmul of the batched objective rounds like M @ v, so
+    values equal the scalar form bit for bit, also for oblique 2-D and 3-D
+    V' bases."""
+    affine = [[1.0, 1.0, 0.0, 0.0], [-1.0, 0.0, 1.0, 0.0],
+              [0.0, -1.0, 0.0, 1.0], [0.0, 0.0, -1.0, -1.0]]
+    slanted = oracle.FunctionModel(
+        dim=4, kind="max_of_smooth",
+        pieces=[oracle.AffinePiece(a) for a in affine]
+        + [oracle.QuadraticPiece(np.diag([1.0, 2.0, 3.0, 4.0]))])
+    rng = np.random.default_rng(11)
+    for model, k in ((four_quadrant, 2), (slanted, 3)):
+        poly = oracle.subdifferential_polytope(model, np.zeros(model.dim))
+        frame = vu.decompose(poly, np.zeros(model.dim), eps=0.5)
+        ctx = ug.ULagContext(model=model, frame=frame)
+        assert ctx.dim_vprime == k
+        anchor = rng.normal(size=k)
+        for _ in range(20):
+            u = rng.uniform(-0.3, 0.3, size=ctx.dim_uprime)
+            V = rng.uniform(-0.5, 0.5, size=(64, k))
+            base, objective = ug._anchored_objective(ctx, u, anchor)
+            scalar = [oracle.evaluate(model, base + ctx.vprime_basis @ v)
+                      - float(anchor @ v) for v in V]
+            assert [repr(float(a)) for a in objective(V)] == \
+                [repr(a) for a in scalar]
