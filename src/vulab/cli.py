@@ -12,7 +12,8 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -35,11 +36,8 @@ class ExperimentConfig:
     anchor: str = "auto"            # auto | zero | centroid
     radii: dict = field(default_factory=dict)
     grids: dict = field(default_factory=dict)
-    tolerances: dict = field(default_factory=dict)
     campaign: list = field(default_factory=lambda: list(CAMPAIGNS))
     output_dir: str = "vulab_out"
-    deterministic: bool = True
-    workers: int | None = None
 
     def validate(self):
         if not self.campaign:
@@ -54,12 +52,16 @@ class ExperimentConfig:
     def to_dict(self):
         return {"problem": self.problem, "base_point": self.base_point,
                 "anchor": self.anchor, "radii": dict(self.radii),
-                "grids": dict(self.grids), "tolerances": dict(self.tolerances),
-                "campaign": list(self.campaign), "output_dir": self.output_dir,
-                "deterministic": self.deterministic, "workers": self.workers}
+                "grids": dict(self.grids), "campaign": list(self.campaign),
+                "output_dir": self.output_dir}
 
     @classmethod
     def from_dict(cls, data):
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown config keys {unknown}")
+        if "problem" not in data:
+            raise ValueError("config is missing required key 'problem'")
         return cls(**data)
 
     @classmethod
@@ -122,29 +124,42 @@ class Runner:
         self.resolution = int(config.grids.get("resolution", 21))
         self.files = {}
 
-    # -- shared ingredients -------------------------------------------------
-    def _polytope(self):
+    # -- shared ingredients, each computed when a campaign first reads it ---
+    @cached_property
+    def poly(self):
         return oracle.subdifferential_polytope(self.model, self.base_point)
 
-    def _anchor(self, poly):
+    @cached_property
+    def anchor(self):
         mode = self.config.anchor
         zero = np.zeros(self.model.dim)
         if mode == "zero":
             return zero
         if mode == "centroid":
-            return vu.relative_interior_point(poly)
+            return vu.relative_interior_point(self.poly)
         from .solvers import in_hull
-        return zero if in_hull(poly.generators, zero) else \
-            vu.relative_interior_point(poly)
+        return zero if in_hull(self.poly.generators, zero) else \
+            vu.relative_interior_point(self.poly)
 
-    def _frame(self, poly=None, anchor=None):
-        poly = poly or self._polytope()
-        anchor = anchor if anchor is not None else self._anchor(poly)
-        return vu.decompose(poly, anchor, eps=self.radii["eps"])
+    @cached_property
+    def frame(self):
+        return vu.decompose(self.poly, self.anchor, eps=self.radii["eps"])
+
+    @cached_property
+    def second_order(self):
+        """The pair (u2, profile) of second_order_component."""
+        return subjets.second_order_component(self.model, self.base_point,
+                                              self.anchor)
+
+    @cached_property
+    def stability(self):
+        return tilt.tilt_stability_test(self.model, self.base_point,
+                                        self.radii["eps"],
+                                        self.radii["tilt_radius"])
 
     # -- campaigns ----------------------------------------------------------
     def run_decompose(self):
-        poly = self._polytope()
+        poly = self.poly
         centroid = vu.relative_interior_point(poly)
         frame = vu.decompose(poly, centroid, eps=self.radii["eps"])
         report = vu.check_decomposition(self.model, frame)
@@ -171,9 +186,7 @@ class Runner:
         return checks, summary
 
     def run_tilt_test(self):
-        verdict = tilt.tilt_stability_test(
-            self.model, self.base_point, self.radii["eps"],
-            self.radii["tilt_radius"])
+        verdict = self.stability
         status = ("inconclusive" if verdict.status == "inconclusive" else "pass")
         checks = [_check("tilt_verdict_decisive", True, verdict.stable,
                          status=status,
@@ -185,7 +198,7 @@ class Runner:
             checks.append(_check("tilt_map_monotone", mono >= -1e-10, mono,
                                  -1e-10))
         r_hat = tilt.prox_regularity_test(
-            self.model, self.base_point, self._anchor(self._polytope()),
+            self.model, self.base_point, self.anchor,
             min(self.radii["eps"], 0.5), r_grid=[0.0, 0.5, 1.0, 2.0, 4.0, 8.0])
         checks.append(_check("prox_regularity_grid", r_hat is not None, r_hat))
         qm = tilt.quadratic_minorant_test(
@@ -199,7 +212,7 @@ class Runner:
         return checks, summary
 
     def run_lagrangian(self):
-        frame = self._frame()
+        frame = self.frame
         ctx = ulagrangian.ULagContext(model=self.model, frame=frame,
                                       eps_v=self.radii["eps_v"])
         delta = self.radii["delta"]
@@ -259,10 +272,7 @@ class Runner:
         return checks, summary
 
     def run_subjet(self):
-        poly = self._polytope()
-        anchor = self._anchor(poly)
-        u2, profile = subjets.second_order_component(self.model,
-                                                     self.base_point, anchor)
+        u2, profile = self.second_order
         lines = ["direction,classification,finest_value"]
         for d, val in zip(profile.directions, profile.values):
             cls = "finite" if val is not None else "divergent"
@@ -277,7 +287,7 @@ class Runner:
             agree, total = abs_diff_rule_agreement(self.model)
             checks.append(_check("closed_form_rule_agreement", agree == total,
                                  f"{agree}/{total}"))
-        cand = subjets.JetCandidate(x=self.base_point, z=anchor,
+        cand = subjets.JetCandidate(x=self.base_point, z=self.anchor,
                                     Q=-10.0 * np.eye(self.model.dim))
         res = subjets.subjet_membership(self.model, cand)
         checks.append(_check("proximal_membership", res.status == "member",
@@ -289,11 +299,8 @@ class Runner:
         return checks, summary
 
     def run_manifold(self):
-        poly = self._polytope()
-        anchor = self._anchor(poly)
-        frame = vu.decompose(poly, anchor, eps=self.radii["eps"])
-        u2, profile = subjets.second_order_component(self.model,
-                                                     self.base_point, anchor)
+        frame = self.frame
+        u2, _ = self.second_order
         ctx = ulagrangian.ULagContext(model=self.model, frame=frame,
                                       uprime_basis=u2,
                                       eps_v=self.radii["eps_v"])
@@ -301,19 +308,20 @@ class Runner:
         degenerate = u2.shape[1] == 0
         stability = None
         if not degenerate:
-            stability = tilt.tilt_stability_test(
-                self.model, self.base_point, self.radii["eps"],
-                self.radii["tilt_radius"])
+            stability = self.stability
             if not stability.stable:
                 # precondition unmet: the trace theorems need tilt stability,
-                # so the campaign is recorded as skipped, not failed
+                # so an unstable base is skipped, not failed; an inconclusive
+                # verdict (a solver hit its budget) leaves the run inconclusive
+                inconclusive = stability.status == "inconclusive"
+                reason = ("tilt verdict inconclusive; manifold trace not run"
+                          if inconclusive else
+                          "base point is not a tilt-stable local minimum; "
+                          "manifold trace not applicable")
                 checks.append(_check(
                     "tilt_stable_base", True, stability.status,
-                    status="skipped",
-                    detail={"reason": "base point is not a tilt-stable "
-                                      "local minimum; manifold trace not "
-                                      "applicable",
-                            "witness": stability.witness}))
+                    status="inconclusive" if inconclusive else "skipped",
+                    detail={"reason": reason, "witness": stability.witness}))
                 return checks, {"degenerate": False, "skipped": True,
                                 "dim_u2": u2.shape[1],
                                 "stability": stability.status}
@@ -390,9 +398,7 @@ class Runner:
                 worst = max(worst, float(np.max(np.abs(g - g_fd))))
         checks.append(_check("moreau_gradient_consistency", worst <= 1e-5,
                              worst, 1e-5))
-        anchor = self._anchor(self._polytope())
-        u2, profile = subjets.second_order_component(self.model,
-                                                     self.base_point, anchor)
+        _, profile = self.second_order
         viol = subjets.para_convexity_check(profile, r=0.0
                                             if self.model.flags.convex else 2.0)
         checks.append(_check("rank1_support_para_convex", viol <= 1e-9, viol,
@@ -432,7 +438,12 @@ class Runner:
         summaries = {}
         started = time.time()
         for item in self.config.campaign:
-            checks, summary = handlers[item]()
+            try:
+                checks, summary = handlers[item]()
+            except VULabError as exc:
+                # one campaign's error must not discard the others' reports
+                summary = {"error": type(exc).__name__, "message": str(exc)}
+                checks = [_check("campaign_completed", False, detail=summary)]
             summary["schema_version"] = SCHEMA_VERSION
             manifest["campaigns"][item] = {"checks": checks,
                                            "summary_file": f"{item}.json"}
@@ -524,19 +535,11 @@ def main(argv=None):
                            else [args.command])
         if args.out:
             config.output_dir = args.out
-        env_workers = os.environ.get("VULAB_THREADS")
-        if env_workers:
-            config.workers = min(int(env_workers), config.workers or
-                                 int(env_workers))
-        config.validate()
+        runner = Runner(config)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 3
-    try:
-        manifest, code = run(config)
-    except VULabError as exc:
-        print(f"campaign failed: {exc}", file=sys.stderr)
-        return 1
+    manifest, code = runner.run()
     for item, camp in manifest["campaigns"].items():
         for check in camp["checks"]:
             print(f"[{check['status'].upper():12s}] {item}:{check['name']}")

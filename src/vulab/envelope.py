@@ -256,15 +256,12 @@ def envelope_agreement_check(model, frame, trace_points, resolution=101,
     grid scale.
     """
     from .oracle import evaluate
+    from .vu import assemble
     gf = anchored_grid(model, frame, eps=eps, resolution=resolution)
     worst = 0.0
     for coords in trace_points:
         coords = np.asarray(coords, dtype=float)
-        w = np.zeros(frame.dim)
-        if frame.dim_u:
-            w += frame.u_basis @ coords[:frame.dim_u]
-        if frame.dim_v:
-            w += frame.v_basis @ coords[frame.dim_u:]
+        w = assemble(frame, coords[:frame.dim_u], coords[frame.dim_u:])
         h_val = evaluate(model, frame.base_point + w)
         env = envelope_at(gf, coords)
         worst = max(worst, abs(h_val - env))
@@ -273,7 +270,7 @@ def envelope_agreement_check(model, frame, trace_points, resolution=101,
 
 def conjugacy_identity_check(model, frame, z_u_grid, resolution=401,
                              ulag_ctx=None):
-    """max over z_U of |k_v*(z_U) - h*(z_U + anchor_V)|.
+    """max over z_U of |L*(z_U) - h*(z_U + anchor_V)|.
 
     The left side conjugates the partially-minimized function on a U grid;
     the right side conjugates the anchored function over the full product
@@ -285,13 +282,13 @@ def conjugacy_identity_check(model, frame, z_u_grid, resolution=401,
     ku = np.linspace(-eps, eps, resolution)
     if ctx.uprime_basis.shape[1] != 1:
         raise ValueError("conjugacy check implemented for 1-dimensional U'")
-    kv = np.array([ulagrangian.k_v(ctx, np.array([u])) for u in ku])
+    lvals = np.array([ulagrangian.l_value(ctx, np.array([u])) for u in ku])
     worst = 0.0
     h_grid = anchored_grid(model, frame, eps=eps, resolution=resolution)
     anchor_v = frame.anchor_v
     residuals = []
     for zu in np.atleast_1d(z_u_grid):
-        left = float(np.max(zu * ku - kv))
+        left = float(np.max(zu * ku - lvals))
         # dual point in frame coordinates: (z_U, anchor_V)
         z_coords = np.concatenate([[zu], anchor_v])
         right = float(conjugate_at(h_grid, z_coords[None, :])[0])

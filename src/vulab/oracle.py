@@ -494,8 +494,16 @@ def builtin(name):
 def model_from_dict(data):
     """Build a model from {dim, kind, pieces: [...], flags: {...}}.
 
-    Raises ValueError for an unknown piece type or a quadratic piece whose A
-    is not exactly symmetric."""
+    Raises ValueError for a missing required key, an unknown piece type or a
+    quadratic piece whose A is not exactly symmetric."""
+    try:
+        return _model_from_dict(data)
+    except KeyError as exc:
+        raise ValueError(f"problem is missing required key {exc.args[0]!r}") \
+            from None
+
+
+def _model_from_dict(data):
     pieces = []
     for i, p in enumerate(data.get("pieces", [])):
         if p["type"] == "quadratic":

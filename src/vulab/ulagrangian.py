@@ -164,18 +164,6 @@ def l_value(ctx, u):
     return float(val)
 
 
-def k_v(ctx, u):
-    """Auxiliary value h(u+v(u)) - <anchor_V', u+v(u)>; equals l_value by
-    construction (same selection, same float path)."""
-    u = np.asarray(u, dtype=float)
-    if np.linalg.norm(u) > ctx.frame.eps + 1e-12:
-        return np.inf
-    v, val, _ = _solve_cached(ctx, u)
-    if ctx.dim_vprime and np.linalg.norm(v) > ctx.eps_v + 1e-12:
-        return np.inf
-    return float(val)
-
-
 def grad_l(ctx, u, fd_step=None, membership_tol=1e-5, validate=True):
     """Central finite-difference gradient of the Lagrangian, cross-validated
     by membership of (z_U(u), anchor_V') in the subdifferential hull at the

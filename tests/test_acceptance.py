@@ -115,7 +115,7 @@ def test_criterion_07_conjugacy_identity(abs_plus_quad, crossing,
     r2 = envelope.conjugacy_identity_check(
         crossing, crossing_ctx.frame, np.linspace(-0.05, 0.05, 5),
         resolution=401, ulag_ctx=crossing_ctx)
-    report(7, "conjugate of k_v equals the anchored conjugate (401 grids)",
+    report(7, "conjugate of L equals the anchored conjugate (401 grids)",
            r1 <= 1e-3 and r2 <= 1e-3, f"(residuals {r1:.1e}, {r2:.1e})")
 
 

@@ -1,4 +1,7 @@
+import collections
+import functools
 import json
+import types
 import warnings
 
 import numpy as np
@@ -91,8 +94,7 @@ def test_determinism(tmp_path):
 
 def test_config_round_trip(tmp_path):
     config = cli.ExperimentConfig(problem="abs_diff", campaign=["decompose"],
-                                  radii={"eps": 0.5}, output_dir="x",
-                                  tolerances={"chain": 1e-5})
+                                  radii={"eps": 0.5}, output_dir="x")
     again = cli.ExperimentConfig.from_dict(config.to_dict())
     assert again.to_dict() == config.to_dict()
     path = tmp_path / "cfg.json"
@@ -171,13 +173,6 @@ def test_appendix_skips_duality_for_nonsmooth(tmp_path):
     assert dual["status"] == "skipped" and "detail" in dual
 
 
-def test_workers_env_cap(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("VULAB_THREADS", "2")
-    code = cli.main(["decompose", "--problem", "abs_diff",
-                     "--out", str(tmp_path)])
-    assert code == 0
-
-
 @pytest.mark.parametrize("problem", ["abs_diff", "crossing_max",
                                      "abs_plus_quad"])
 def test_lagrangian_selection_little_oh(tmp_path, problem):
@@ -194,8 +189,11 @@ def test_lagrangian_selection_little_oh(tmp_path, problem):
 @pytest.mark.parametrize("problem", ["quadratic(-I)", "four_quadrant_max"])
 def test_tilt_test_capped_polish_exits_inconclusive(tmp_path, problem):
     """Both used to hang in the polish; its move cap now makes the tilt
-    verdict inconclusive, so the run exits 2."""
-    config = cli.ExperimentConfig(problem=problem, campaign=["tilt-test"],
+    verdict inconclusive, so the run exits 2. On quadratic(-I) the manifold
+    precondition then reads inconclusive too, not skipped."""
+    campaign = ["tilt-test"] + (["manifold"] if problem == "quadratic(-I)"
+                                else [])
+    config = cli.ExperimentConfig(problem=problem, campaign=campaign,
                                   output_dir=str(tmp_path))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SolverBudgetExceeded)
@@ -205,3 +203,117 @@ def test_tilt_test_capped_polish_exits_inconclusive(tmp_path, problem):
     assert checks["tilt_verdict_decisive"]["status"] == "inconclusive"
     assert all(c["status"] == "pass" for name, c in checks.items()
                if name != "tilt_verdict_decisive")
+    if "manifold" in campaign:
+        check, = manifest["campaigns"]["manifold"]["checks"]
+        assert check["name"] == "tilt_stable_base"
+        assert check["status"] == "inconclusive"
+        assert check["value"] == "inconclusive"
+        assert "inconclusive" in check["detail"]["reason"]
+
+
+QUADRATIC = {"dim": 2, "kind": "max_of_smooth",
+             "pieces": [{"type": "quadratic", "A": [[1.0, 0.0], [0.0, 1.0]]}]}
+SKEW = dict(QUADRATIC, pieces=[{"type": "quadratic",
+                                "A": [[0.0, 2.0], [0.0, 0.0]]}])
+NO_DIM = {k: v for k, v in QUADRATIC.items() if k != "dim"}
+
+
+@pytest.mark.parametrize("flag, content, needle", [
+    pytest.param("--problem", SKEW, "not symmetric", id="nonsymmetric_A"),
+    pytest.param("--problem", NO_DIM, "'dim'", id="missing_dim"),
+    pytest.param("--problem", None, "no_such_model", id="unknown_builtin"),
+    pytest.param("--config", {"problem": "abs_diff", "workerz": 2}, "workerz",
+                 id="unknown_config_key"),
+    pytest.param("--config", {"problem": "abs_diff", "workers": None},
+                 "workers", id="removed_config_key"),
+    pytest.param("--config", {"campaign": ["decompose"]}, "'problem'",
+                 id="config_without_problem"),
+])
+def test_main_bad_input_exits_usage_error(tmp_path, monkeypatch, capsys, flag,
+                                          content, needle):
+    """Malformed problems and configs are usage errors (exit 3) that name
+    the fault, not tracebacks."""
+    monkeypatch.chdir(tmp_path)
+    path = "no_such_model"
+    if content is not None:
+        path = "input.json"
+        (tmp_path / path).write_text(json.dumps(content))
+    assert cli.main(["decompose", flag, path, "--out", "out"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("usage error") and needle in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_campaign_error_keeps_other_campaigns(tmp_path):
+    """quadratic(-I) appendix raises LambdaTooLarge; the run still records
+    decompose, reports the error as a failed check and writes the manifest."""
+    manifest, code = cli.run(cli.ExperimentConfig(
+        problem="quadratic(-I)", campaign=["decompose", "appendix"],
+        output_dir=str(tmp_path)))
+    assert code == 1 and manifest["overall"] == "fail"
+    written = json.loads((tmp_path / "manifest.json").read_text())
+    assert written["campaigns"].keys() == {"decompose", "appendix"}
+    assert {c["status"] for c in
+            written["campaigns"]["decompose"]["checks"]} == {"pass"}
+    check, = written["campaigns"]["appendix"]["checks"]
+    assert check["name"] == "campaign_completed" and check["status"] == "fail"
+    assert check["detail"]["error"] == "LambdaTooLarge"
+    assert (tmp_path / "decompose.json").exists()
+    assert (tmp_path / "appendix.json").exists()
+
+
+def test_all_computes_each_study_ingredient_once(tmp_path, monkeypatch):
+    """One `all` run computes the polytope, anchor, frame, second-order
+    component and tilt verdict once each; no campaign calls the three study
+    functions itself."""
+    counts = collections.Counter()
+
+    def count(name, fn):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for module, name in ((cli.oracle, "subdifferential_polytope"),
+                         (cli.subjets, "second_order_component"),
+                         (cli.tilt, "tilt_stability_test")):
+        binding = types.SimpleNamespace(**vars(module))
+        setattr(binding, name, count(name, getattr(module, name)))
+        monkeypatch.setattr(cli, module.__name__.rpartition(".")[2], binding)
+    for name in ("anchor", "frame"):
+        prop = functools.cached_property(
+            count(name, cli.Runner.__dict__[name].func))
+        prop.__set_name__(cli.Runner, name)
+        monkeypatch.setattr(cli.Runner, name, prop)
+    config = cli.ExperimentConfig(problem="huber_source_abs",
+                                  output_dir=str(tmp_path))
+    manifest, code = cli.Runner(config).run()
+    assert code == 0 and list(manifest["campaigns"]) == list(cli.CAMPAIGNS)
+    assert counts == {"subdifferential_polytope": 1,
+                      "second_order_component": 1, "tilt_stability_test": 1,
+                      "anchor": 1, "frame": 1}
+
+
+def test_shared_study_keeps_campaign_bytes(tmp_path):
+    """Each campaign writes the same files inside one `all` run as alone."""
+    grids = {"resolution": 5, "conjugate_resolution": 41,
+             "envelope_resolution": 11}
+    both = cli.ExperimentConfig(problem="quadratic(I)", grids=grids,
+                                output_dir=str(tmp_path / "all"))
+    _, code = cli.Runner(both).run()
+    assert code == 0
+    for item in cli.CAMPAIGNS:
+        out = tmp_path / item
+        _, code = cli.Runner(cli.ExperimentConfig(
+            problem="quadratic(I)", grids=grids, campaign=[item],
+            output_dir=str(out))).run()
+        assert code == 0
+        names = {p.name for p in out.iterdir()} - {"manifest.json",
+                                                    "metadata.json"}
+        assert f"{item}.json" in names
+        for name in names:
+            assert (out / name).read_bytes() == \
+                (tmp_path / "all" / name).read_bytes(), (item, name)
+        alone = json.loads((out / "manifest.json").read_text())
+        together = json.loads((tmp_path / "all" / "manifest.json").read_text())
+        assert alone["campaigns"][item] == together["campaigns"][item]

@@ -126,11 +126,11 @@ def test_conjugacy_identity(abs_plus_quad, crossing):
     resid = env.conjugacy_identity_check(abs_plus_quad, frame, zs,
                                          resolution=201)
     assert resid <= 1e-3
-    # both sides equal z^2/4 on |z| <= 0.5 (k_v(u) = u^2)
+    # both sides equal z^2/4 on |z| <= 0.5 (L(u) = u^2)
     ku = np.linspace(-1, 1, 201)
     left = np.max(0.5 * ku - ku ** 2)
     assert left == pytest.approx(0.5 ** 2 / 4.0, abs=1e-4)
-    # z = 0 gives -min k_v = 0
+    # z = 0 gives -min L = 0
     resid0 = env.conjugacy_identity_check(abs_plus_quad, frame, [0.0],
                                           resolution=201)
     assert resid0 <= 1e-6
@@ -179,7 +179,7 @@ def _model_and_frame(problem):
             frame = vu.frame_from_json(vu.frame_to_json(frame))
         return model, frame
     runner = cli.Runner(cli.ExperimentConfig(problem=problem))
-    return runner.model, runner._frame()
+    return runner.model, runner.frame
 
 
 @pytest.mark.parametrize("problem", ["crossing_max", "abs_plus_quad",

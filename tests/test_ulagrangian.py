@@ -42,12 +42,6 @@ def test_l_value_examples(apq_ctx, crossing_ctx, crossing):
     assert ug.l_value(apq_ctx, np.array([5.0])) == np.inf
 
 
-def test_k_v_agrees_with_l(apq_ctx, crossing_ctx):
-    for ctx, delta in ((apq_ctx, 0.5), (crossing_ctx, 0.12)):
-        for u in np.linspace(-delta, delta, 100):
-            assert ug.k_v(ctx, np.array([u])) == ug.l_value(ctx, np.array([u]))
-
-
 def test_grad_l_examples(apq_ctx, crossing_ctx):
     assert ug.grad_l(apq_ctx, np.array([0.3]))[0] == pytest.approx(0.6,
                                                                    abs=1e-8)
