@@ -87,7 +87,7 @@ def trace(ctx, delta, resolution=31, stability=None, max_shrink=3):
         else:
             nodes = cube_lattice(k, delta, resolution)
             nodes = nodes[np.linalg.norm(nodes, axis=1) <= delta + 1e-12]
-        v_vals, l_vals, f_vals, z_vals, flags = [], [], [], [], []
+        v_vals, l_vals, f_vals, z_vals, dv_vals, flags = [], [], [], [], [], []
         for u in nodes:
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always", BoundaryActive)
@@ -100,6 +100,8 @@ def trace(ctx, delta, resolution=31, stability=None, max_shrink=3):
                 # to interior nodes
                 zu = (ulagrangian.grad_l(ctx, u, validate=not flag)
                       if k else np.zeros(0))
+                if k >= 2:
+                    dv_vals.append(_selection_jacobian(ctx, u))
             flags.append(flag)
             v_vals.append(v)
             l_vals.append(lv)
@@ -114,40 +116,40 @@ def trace(ctx, delta, resolution=31, stability=None, max_shrink=3):
     if k == 1 and len(nodes) >= 5:
         h = float(nodes[1, 0] - nodes[0, 0])
         dv = _stencil_derivative(v_vals, h)[:, :, None]
-    elif k == 0 or len(nodes) < 5:
-        dv = np.zeros((len(nodes), ctx.dim_vprime, k))
+    elif k >= 2:
+        dv = np.array(dv_vals).reshape(len(nodes), ctx.dim_vprime, k)
     else:
-        dv = _lattice_jacobian(nodes, v_vals, k)
+        dv = np.zeros((len(nodes), ctx.dim_vprime, k))
     return ManifoldTrace(ctx=ctx, delta=delta, u_nodes=nodes, v_values=v_vals,
                          f_values=np.array(f_vals), l_values=np.array(l_vals),
                          z_u_values=z_vals, dv_values=dv,
                          boundary_flags=flags, resolution=resolution)
 
 
-def _lattice_jacobian(nodes, v_vals, k):
-    """np.gradient per axis on a full cube lattice; nodes filtered to the
-    ball fall back to nearest-neighbour quotients."""
-    m, n_v = v_vals.shape
-    dv = np.zeros((m, n_v, k))
-    for axis in range(k):
-        for i in range(m):
-            u = nodes[i]
-            best_p, best_m = None, None
-            for j in range(m):
-                d = nodes[j] - u
-                if np.linalg.norm(d - d[axis] * np.eye(k)[axis]) < 1e-12 and d[axis] != 0:
-                    if d[axis] > 0 and (best_p is None or d[axis] < best_p[0]):
-                        best_p = (d[axis], j)
-                    if d[axis] < 0 and (best_m is None or d[axis] > best_m[0]):
-                        best_m = (d[axis], j)
-            if best_p and best_m:
-                dv[i, :, axis] = ((v_vals[best_p[1]] - v_vals[best_m[1]])
-                                  / (best_p[0] - best_m[0]))
-            elif best_p:
-                dv[i, :, axis] = (v_vals[best_p[1]] - v_vals[i]) / best_p[0]
-            elif best_m:
-                dv[i, :, axis] = (v_vals[i] - v_vals[best_m[1]]) / (-best_m[0])
-    return dv
+def _selection_jacobian(ctx, u):
+    """dv/du at u from central differences of v_of_u, with the step of
+    grad_l, so the points are the ones grad_l has just solved.  Where u + h
+    or u - h leaves the U'-ball, the one-sided three-point pair on the
+    inside is used, which is O(h^2) like the central one."""
+    k = ctx.dim_uprime
+    h = 1e-5 * (1.0 + np.linalg.norm(u))
+    jac = np.zeros((ctx.dim_vprime, k))
+
+    def inside(w):
+        return np.linalg.norm(w) <= ctx.frame.eps + 1e-12
+
+    for i in range(k):
+        e = np.zeros(k)
+        e[i] = h
+        if inside(u + e) and inside(u - e):
+            jac[:, i] = (ulagrangian.v_of_u(ctx, u + e)
+                         - ulagrangian.v_of_u(ctx, u - e)) / (2.0 * h)
+        else:
+            s = 1.0 if inside(u + 2 * e) else -1.0
+            jac[:, i] = s * (-3.0 * ulagrangian.v_of_u(ctx, u)
+                             + 4.0 * ulagrangian.v_of_u(ctx, u + s * e)
+                             - ulagrangian.v_of_u(ctx, u + 2 * s * e)) / (2.0 * h)
+    return jac
 
 
 def c11_check(tr):

@@ -258,6 +258,60 @@ def minimize_branches(branches, objective, center, radius, cfg=None, starts=None
                               approximate=approximate)
 
 
+def _line_coefficients(piece):
+    """(a, b, c) of a 1-D quadratic or affine piece a t^2 / 2 + b t + c."""
+    if piece.kind == "quadratic":
+        return float(piece.A[0, 0]), float(piece.b[0]), piece.c
+    return 0.0, float(piece.a[0]), piece.b
+
+
+def _ratio_within(num, den, radius):
+    """[num / den] when it lies in [-radius, radius], else []; the test
+    comes first, so a tiny or zero den cannot overflow."""
+    if den != 0.0 and abs(num) <= radius * abs(den):
+        return [num / den]
+    return []
+
+
+def _roots_within(a, b, c, radius):
+    """Real roots in [-radius, radius] of a t^2 + b t + c = 0 (a line when
+    a = 0), from the numerically stable form that never cancels b against
+    the root of the discriminant."""
+    if a == 0.0:
+        return _ratio_within(-c, b, radius)
+    disc = b * b - 4.0 * a * c
+    if disc < 0.0:
+        return []
+    q = -0.5 * (b + np.copysign(np.sqrt(disc), b))
+    return _ratio_within(q, a, radius) + _ratio_within(c, q, radius)
+
+
+def line_minimize(branches, objective, radius):
+    """Exact minimization over [-radius, radius] of a 1-D objective covered
+    by quadratic and affine branches (max_pieces, sum_pieces).
+
+    On the interval each branch is piecewise quadratic, with breaks only
+    where two max-pieces cross, so its minimizer is an interval end, a
+    stationary point of the sum plus one max-piece (or of the sum alone),
+    or a crossing.  Every such candidate, and t = 0 for the smallest-norm
+    tie rule on flat regions, is valued by the batched `objective`."""
+    cands = [-radius, 0.0, radius]
+    for max_pieces, sum_pieces in branches:
+        coef = [_line_coefficients(p) for p in max_pieces]
+        sums = [_line_coefficients(p) for p in sum_pieces]
+        a_s = sum(a for a, _, _ in sums)
+        b_s = sum(b for _, b, _ in sums)
+        for a, b, _ in coef or [(0.0, 0.0, 0.0)]:
+            if a_s + a > 0.0:
+                cands += _ratio_within(-(b_s + b), a_s + a, radius)
+        for i, (ai, bi, ci) in enumerate(coef):
+            for aj, bj, cj in coef[i + 1:]:
+                cands += _roots_within(0.5 * (ai - aj), bi - bj, ci - cj,
+                                       radius)
+    T = np.array(cands)[:, None]
+    return BallMinimizeResult(points=T, values=objective(T))
+
+
 def cluster_minimizers(points, values, cluster_tol, sep_tol):
     """Keep near-optimal points and merge numerical twins.
 

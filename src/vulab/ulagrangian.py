@@ -15,7 +15,7 @@ from .errors import BoundaryActive, InconsistentGradient
 from .oracle import (AffinePiece, evaluate, evaluate_many,
                      subdifferential_polytope)
 from .solvers import (DEFAULT_SOLVER, cluster_minimizers, hull_distance,
-                      minimize_branches, sphere_directions)
+                      line_minimize, minimize_branches, sphere_directions)
 from .vu import principal_angle
 
 
@@ -90,10 +90,23 @@ def _anchored_objective(ctx, u, anchor_v):
     return base, objective
 
 
+def _exact_on_line(ctx, restricted):
+    """Whether the inner problem is one a closed form solves: a line (dim
+    V' = 1) on which every restricted piece of a structured model is a scalar
+    quadratic or affine.  Custom branch covers only describe their model's
+    value oracle, so they keep the multistart."""
+    return (ctx.dim_vprime == 1 and ctx.model.kind != "custom"
+            and all(p.kind in ("quadratic", "affine")
+                    for mp, sp in restricted for p in mp + sp))
+
+
 def _inner_solve(ctx, u, anchor_v=None):
     """Minimize v -> f(base + u + v) - <anchor_V', v> over the V'-ball.
 
-    Returns (v, value, boundary_active); v tie-broken by smallest norm then
+    When dim V' = 1 and the pieces are quadratic or affine, every candidate
+    minimizer is known in closed form (solvers.line_minimize); otherwise the
+    SLSQP multistart with polish of solvers.minimize_branches runs.  Returns
+    (v, value, boundary_active); v tie-broken by smallest norm then
     lexicographic order.
     """
     anchor_v = ctx.anchor_vprime if anchor_v is None else np.asarray(anchor_v, float)
@@ -111,8 +124,12 @@ def _inner_solve(ctx, u, anchor_v=None):
     else:
         restricted = None
 
-    res = minimize_branches(restricted, objective, np.zeros(ctx.dim_vprime),
-                            ctx.eps_v, ctx.solver_cfg)
+    if _exact_on_line(ctx, restricted):
+        res = line_minimize(restricted, objective, ctx.eps_v)
+    else:
+        res = minimize_branches(restricted, objective,
+                                np.zeros(ctx.dim_vprime), ctx.eps_v,
+                                ctx.solver_cfg)
     cluster_tol = 1e-9 * (1.0 + abs(float(res.values.min())))
     reps, best = cluster_minimizers(res.points, res.values, cluster_tol,
                                     1e-6 * ctx.eps_v)
@@ -225,7 +242,9 @@ def little_oh_check(ctx, radii, n_dirs=None):
 
 
 # A selection norm ||v(u)|| of at most this many machine epsilons is rounding
-# noise: the exact selection v = 0 of abs_diff reads about 6.5 eps.
+# noise.  The exact line solve reads the selection v = 0 of abs_diff as 0.0
+# (t = 0 is one of its candidates), but the multistart for dim V' >= 2 stops
+# its polish a few eps from an exact zero, so the floor stays.
 LITTLE_OH_NOISE_EPS = 64.0
 
 

@@ -1,8 +1,12 @@
 import collections
 import functools
 import json
+import os
+import subprocess
+import sys
 import types
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -317,3 +321,25 @@ def test_shared_study_keeps_campaign_bytes(tmp_path):
         alone = json.loads((out / "manifest.json").read_text())
         together = json.loads((tmp_path / "all" / "manifest.json").read_text())
         assert alone["campaigns"][item] == together["campaigns"][item]
+
+
+def test_module_entry_point_runs_cli_once(tmp_path):
+    """`python -m vulab.cli` runs the module once: the package imports cli
+    lazily, so runpy does not warn that it found it in sys.modules."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    done = subprocess.run(
+        [sys.executable, "-m", "vulab.cli", "decompose", "--problem",
+         "huber_source_abs", "--out", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "found in sys.modules" not in done.stderr
+
+
+def test_package_exposes_cli_lazily():
+    import vulab
+    assert vulab.cli.Runner is cli.Runner
+    with pytest.raises(AttributeError):
+        vulab.no_such_module

@@ -1,3 +1,4 @@
+import json
 import warnings
 
 import numpy as np
@@ -140,3 +141,41 @@ def test_envelope_agreement_on_trace(crossing_trace):
         resolution=61)
     slope_scale = 1.0 + 2.5  # max subgradient norm near the crossing
     assert resid <= 2.0 * spacing * slope_scale
+
+
+def test_dv_on_a_two_dimensional_component(tmp_path):
+    """The 3-D crossing model f = max{x1^2 + x2^2 + (x3 - 1)^2, x3} at
+    (0, 0, (3 - sqrt 5)/2), loaded from JSON, has dim U = 2 and dim V' = 1
+    with v(u) = (sqrt 5 - sqrt(5 - 4|u|^2))/2.  The trace's dv matches
+    grad v = 2u / sqrt(5 - 4|u|^2) at every lattice node, so the chain
+    rule holds (nearest-neighbour quotients of v read 0.021 here)."""
+    problem = {"dim": 3, "kind": "max_of_smooth", "name": "crossing_max3",
+               "pieces": [{"type": "quadratic", "A": (2.0 * np.eye(3)).tolist(),
+                           "b": [0.0, 0.0, -2.0], "c": 1.0},
+                          {"type": "affine", "a": [0.0, 0.0, 1.0]}]}
+    path = tmp_path / "crossing_max3.json"
+    path.write_text(json.dumps(problem))
+    model = oracle.load_problem(str(path))
+    base = np.array([0.0, 0.0, (3.0 - np.sqrt(5.0)) / 2.0])
+    poly = oracle.subdifferential_polytope(model, base)
+    ctx = ug.ULagContext(model=model,
+                         frame=vu.decompose(poly, np.zeros(3), eps=0.3))
+    assert (ctx.dim_uprime, ctx.dim_vprime) == (2, 1)
+    tr = mf.trace(ctx, 0.075, 5)
+    assert len(tr.u_nodes) == 13
+    U, e3 = ctx.uprime_basis[:2], ctx.vprime_basis[2, 0]
+    for u, v, dv in zip(tr.u_nodes, tr.v_values, tr.dv_values):
+        x = U @ u
+        r = np.sqrt(5.0 - 4.0 * float(x @ x))
+        assert abs(e3 * v[0] - (np.sqrt(5.0) - r) / 2.0) <= 1e-14
+        assert np.max(np.abs(dv[0] - e3 * (U.T @ (2.0 * x / r)))) <= 1e-8
+    assert mf.grad_chain_check(tr) <= 1e-5
+
+
+def test_selection_jacobian_one_sided_at_the_ball_edge(crossing_ctx):
+    """Where u + h leaves the U'-ball the difference turns one-sided and
+    keeps O(h^2) accuracy."""
+    for u in (0.3, -0.3, 0.2):
+        dv = mf._selection_jacobian(crossing_ctx, np.array([u]))
+        expect = 2.0 * u / np.sqrt(5.0 - 4.0 * u * u)
+        assert abs(abs(dv[0, 0]) - abs(expect)) <= 1e-8

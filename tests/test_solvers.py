@@ -148,3 +148,64 @@ def test_minimize_branches_nelder_mead_fallback(four_quadrant):
     res = solvers.minimize_branches(None, batched, np.zeros(2), 1.0)
     assert np.all(np.linalg.norm(res.points, axis=1) <= 1.0 + 1e-12)
     assert float(res.values.min()) == 0.0
+
+
+@st.composite
+def line_problems(draw):
+    """One 1-D branch: 1-4 max-pieces and 0-2 sum pieces, each quadratic with
+    curvature in [-2, 2] (concave included) or affine, and a radius."""
+    def piece():
+        b, c = draw(_coef), draw(_coef)
+        if draw(st.booleans()):
+            a = draw(st.floats(-2.0, 2.0))
+            return oracle.QuadraticPiece([[a]], [b], c)
+        return oracle.AffinePiece([b], c)
+    max_pieces = [piece() for _ in range(draw(st.integers(1, 4)))]
+    sum_pieces = [piece() for _ in range(draw(st.integers(0, 2)))]
+    return max_pieces, sum_pieces, draw(st.floats(0.01, 2.0))
+
+
+def branch_objective(max_pieces, sum_pieces):
+    """Batched sum + max of the pieces."""
+    def objective(T):
+        out = np.max([p.values(T) for p in max_pieces], axis=0)
+        for p in sum_pieces:
+            out = out + p.values(T)
+        return out
+    return objective
+
+
+@settings(max_examples=300, deadline=None)
+@given(line_problems())
+def test_line_minimize_beats_a_fine_grid(problem):
+    """The closed-form candidates contain a global minimizer on the
+    interval, and the cluster rule then picks the smallest-norm candidate
+    within cluster_tol."""
+    max_pieces, sum_pieces, radius = problem
+    objective = branch_objective(max_pieces, sum_pieces)
+    res = solvers.line_minimize([(max_pieces, sum_pieces)], objective, radius)
+    assert not res.approximate
+    assert np.all(np.abs(res.points) <= radius)
+    assert_bits_equal(res.values, objective(res.points))
+    grid = np.linspace(-radius, radius, 20001)[:, None]
+    grid_min = float(objective(grid).min())
+    cluster_tol = 1e-9 * (1.0 + abs(float(res.values.min())))
+    reps, best = solvers.cluster_minimizers(res.points, res.values,
+                                            cluster_tol, 1e-6 * radius)
+    assert best <= grid_min + 1e-12 * (1.0 + abs(grid_min))
+    near = np.abs(res.points[res.values <= best + cluster_tol, 0])
+    assert abs(reps[0][0]) == near.min()
+
+
+def test_line_minimize_sum_alone_and_roots():
+    """Without max-pieces the stationary point of the sum is a candidate;
+    the stable root formula keeps both crossings of nearly equal pieces."""
+    sq = oracle.QuadraticPiece([[2.0]], [-0.6])           # (t - 0.3)^2 - 0.09
+    res = solvers.line_minimize([([], [sq])], branch_objective(
+        [oracle.AffinePiece([0.0])], [sq]), 1.0)
+    assert 0.3 in res.points[:, 0]
+    assert solvers._roots_within(1.0, -1e8, 1.0, 1e9) == [1e8, 1e-8]
+    assert solvers._roots_within(1.0, -1e8, 1.0, 1.0) == [1e-8]
+    assert solvers._roots_within(0.0, 2.0, -1.0, 1.0) == [0.5]
+    assert solvers._roots_within(1.0, 0.0, 1.0, 1.0) == []
+    assert solvers._roots_within(1e-320, 1.0, 0.5, 1.0) == [-0.5]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vulab import oracle, tilt, ulagrangian as ug, vu
+from vulab import cli, oracle, solvers, tilt, ulagrangian as ug, vu
 from vulab.errors import BoundaryActive, InconsistentGradient
 
 from conftest import SQRT5, crossing_selection, golden_min
@@ -161,7 +161,7 @@ def test_little_oh_noise_floor(apq_ctx, crossing_ctx):
     """Ratios at the rounding floor of an exact selection v = 0 count as
     zero; ratios above it must still decrease."""
     eps = np.finfo(float).eps
-    noise = [(r, 6.5 * eps / r) for r in (1e-1, 1e-2, 1e-3)]   # abs_diff
+    noise = [(r, 6.5 * eps / r) for r in (1e-1, 1e-2, 1e-3)]   # an exact v = 0
     assert ug.little_oh_holds(noise, 0.05)
     growing = [(1e-1, 1e-6), (1e-2, 1e-5), (1e-3, 1e-4)]
     assert not ug.little_oh_holds(growing, 0.05)
@@ -173,23 +173,48 @@ def test_little_oh_noise_floor(apq_ctx, crossing_ctx):
             ug.little_oh_check(ctx, [1e-1, 1e-2, 1e-3]), 0.05)
 
 
+def slanted_model():
+    """A 4-D max of four affine pieces and a quadratic: dim V' = 3 at 0."""
+    affine = [[1.0, 1.0, 0.0, 0.0], [-1.0, 0.0, 1.0, 0.0],
+              [0.0, -1.0, 0.0, 1.0], [0.0, 0.0, -1.0, -1.0]]
+    return oracle.FunctionModel(
+        dim=4, kind="max_of_smooth",
+        pieces=[oracle.AffinePiece(a) for a in affine]
+        + [oracle.QuadraticPiece(np.diag([1.0, 2.0, 3.0, 4.0]))])
+
+
+def zero_anchor_ctx(model, eps):
+    poly = oracle.subdifferential_polytope(model, np.zeros(model.dim))
+    return ug.ULagContext(model=model, frame=vu.decompose(
+        poly, np.zeros(model.dim), eps=eps))
+
+
+def recording(solves, solve):
+    def wrapped(*args, **kwargs):
+        solves.append(solve(*args, **kwargs))
+        return solves[-1]
+    return wrapped
+
+
 def test_cached_value_is_the_solve_value(apq_ctx, crossing_ctx, monkeypatch):
     """The value cached for u is the value the inner solve recorded for the
     selected v, bit for bit: both come from the same batched objective.  (The
     selection is the smallest-norm near-optimal point, so this value can sit
-    a few ulps above the solve's best.)"""
-    solves, solve = [], ug.minimize_branches
-
-    def recording(*args, **kwargs):
-        solves.append(solve(*args, **kwargs))
-        return solves[-1]
-
-    monkeypatch.setattr(ug, "minimize_branches", recording)
-    for shared in (apq_ctx, crossing_ctx):
+    a few ulps above the solve's best.)  Checked on the exact line path
+    (dim V' = 1) and on the multistart (dim V' = 3)."""
+    solves = []
+    monkeypatch.setattr(ug, "minimize_branches",
+                        recording(solves, ug.minimize_branches))
+    monkeypatch.setattr(ug, "line_minimize", recording(solves, ug.line_minimize))
+    slanted = zero_anchor_ctx(slanted_model(), 0.5)
+    assert slanted.dim_vprime == 3
+    for shared in (apq_ctx, crossing_ctx, slanted):
         ctx = ug.ULagContext(model=shared.model, frame=shared.frame)
         for t in (-0.1, -0.02, 0.0, 0.05, 0.1):
             u = np.array([t])
+            count = len(solves)
             v, cached, _ = ug._solve_cached(ctx, u)
+            assert len(solves) == count + 1
             res = solves[-1]
             row = [i for i, p in enumerate(res.points) if np.array_equal(p, v)]
             assert row
@@ -198,21 +223,55 @@ def test_cached_value_is_the_solve_value(apq_ctx, crossing_ctx, monkeypatch):
             assert best <= cached <= best + 1e-9 * (1.0 + abs(best))
 
 
+def test_exact_selection_matches_closed_form(tmp_path):
+    """At the 21 nodes of the crossing_max lagrangian campaign, the exact
+    line solve reproduces v(u) = (sqrt 5 - sqrt(5 - 4u^2))/2 to 1e-14."""
+    runner = cli.Runner(cli.ExperimentConfig(
+        problem="crossing_max", campaign=["lagrangian"],
+        output_dir=str(tmp_path)))
+    ctx = ug.ULagContext(model=runner.model, frame=runner.frame,
+                         eps_v=runner.radii["eps_v"])
+    closed = runner.model.meta["selection_closed_form"]
+    delta = runner.radii["delta"]
+    nodes = np.linspace(-delta, delta, runner.resolution)
+    assert len(nodes) == 21
+    for u in nodes:
+        v = ctx.vprime_basis @ ug.v_of_u(ctx, np.array([u]))
+        assert abs(v[1] - closed(u)) <= 1e-14
+
+
+def test_line_path_makes_no_multistart(apq_ctx, crossing_ctx, four_quadrant,
+                                       monkeypatch):
+    """For dim V' = 1 with quadratic and affine pieces the inner solve calls
+    neither minimize_branches, SLSQP nor pattern_polish; four_quadrant_max
+    (dim V' = 2, custom branch covers) still takes the multistart."""
+    multistarts, slsqp, polish = [], [], []
+    monkeypatch.setattr(ug, "minimize_branches",
+                        recording(multistarts, ug.minimize_branches))
+    monkeypatch.setattr(solvers, "minimize", recording(slsqp, solvers.minimize))
+    monkeypatch.setattr(solvers, "pattern_polish",
+                        recording(polish, solvers.pattern_polish))
+    huber = zero_anchor_ctx(oracle.builtin("huber_source_abs"), 1.0)
+    for shared in (apq_ctx, crossing_ctx, huber):
+        ctx = ug.ULagContext(model=shared.model, frame=shared.frame)
+        assert ctx.dim_vprime == 1
+        for t in np.linspace(-0.1, 0.1, 5):
+            ug.l_value(ctx, np.array([t] * ctx.dim_uprime))
+    assert not (multistarts or slsqp or polish)
+    ctx = zero_anchor_ctx(four_quadrant, 1.0)
+    assert ctx.dim_vprime == 2
+    ug._inner_solve(ctx, np.zeros(0))
+    assert len(multistarts) == 1 and slsqp and polish
+
+
 def test_anchored_objective_matches_scalar_form(four_quadrant):
     """The stacked matmul of the batched objective rounds like M @ v, so
     values equal the scalar form bit for bit, also for oblique 2-D and 3-D
     V' bases."""
-    affine = [[1.0, 1.0, 0.0, 0.0], [-1.0, 0.0, 1.0, 0.0],
-              [0.0, -1.0, 0.0, 1.0], [0.0, 0.0, -1.0, -1.0]]
-    slanted = oracle.FunctionModel(
-        dim=4, kind="max_of_smooth",
-        pieces=[oracle.AffinePiece(a) for a in affine]
-        + [oracle.QuadraticPiece(np.diag([1.0, 2.0, 3.0, 4.0]))])
+    slanted = slanted_model()
     rng = np.random.default_rng(11)
     for model, k in ((four_quadrant, 2), (slanted, 3)):
-        poly = oracle.subdifferential_polytope(model, np.zeros(model.dim))
-        frame = vu.decompose(poly, np.zeros(model.dim), eps=0.5)
-        ctx = ug.ULagContext(model=model, frame=frame)
+        ctx = zero_anchor_ctx(model, 0.5)
         assert ctx.dim_vprime == k
         anchor = rng.normal(size=k)
         for _ in range(20):
