@@ -19,14 +19,11 @@ import numpy as np
 
 from . import envelope, manifold, oracle, subjets, tilt, ulagrangian, vu
 from .errors import VULabError
+from .solvers import ball_lattice, in_hull
 
 SCHEMA_VERSION = "1"
 CAMPAIGNS = ("decompose", "tilt-test", "lagrangian", "subjet", "manifold",
              "appendix")
-
-
-def report_schema_version():
-    return SCHEMA_VERSION
 
 
 @dataclass
@@ -121,6 +118,9 @@ class Runner:
                       "eps_v": config.radii.get("eps_v", eps),
                       "delta": config.radii.get("delta", eps / 4.0),
                       "tilt_radius": config.radii.get("tilt_radius", eps / 10.0)}
+        # the U'-grids of lagrangian and manifold lie in the frame's eps-ball
+        if self.radii["delta"] > eps:
+            raise ValueError("radii.delta must not exceed radii.eps")
         self.resolution = int(config.grids.get("resolution", 21))
         self.files = {}
 
@@ -137,7 +137,6 @@ class Runner:
             return zero
         if mode == "centroid":
             return vu.relative_interior_point(self.poly)
-        from .solvers import in_hull
         return zero if in_hull(self.poly.generators, zero) else \
             vu.relative_interior_point(self.poly)
 
@@ -156,6 +155,11 @@ class Runner:
         return tilt.tilt_stability_test(self.model, self.base_point,
                                         self.radii["eps"],
                                         self.radii["tilt_radius"])
+
+    def _grid_resolution(self, k):
+        """Nodes per axis of a k-dimensional U'-grid: the lattice grows like
+        resolution**k, so grids of dimension 2 and up take at most 7."""
+        return self.resolution if k <= 1 else min(self.resolution, 7)
 
     # -- campaigns ----------------------------------------------------------
     def run_decompose(self):
@@ -215,28 +219,13 @@ class Runner:
         frame = self.frame
         ctx = ulagrangian.ULagContext(model=self.model, frame=frame,
                                       eps_v=self.radii["eps_v"])
-        delta = self.radii["delta"]
         k = ctx.dim_uprime
-        if k == 1:
-            grid = [np.array([t]) for t in np.linspace(-delta, delta,
-                                                       self.resolution)]
-        elif k == 0:
-            grid = [np.zeros(0)]
-        else:
-            from .solvers import ball_lattice
-            grid = list(ball_lattice(k, delta, min(self.resolution, 7)))
-        import warnings as _warnings
-        from .errors import BoundaryActive
+        grid = list(ball_lattice(k, self.radii["delta"],
+                                 self._grid_resolution(k)))
         rows = []
         for u in grid:
-            with _warnings.catch_warnings(record=True) as caught:
-                _warnings.simplefilter("always", BoundaryActive)
-                v = ulagrangian.v_of_u(ctx, u)
-                lv = ulagrangian.l_value(ctx, u)
-                zu = (ulagrangian.grad_l(ctx, u, validate=False)
-                      if k else np.zeros(0))
-            boundary = any(issubclass(w.category, BoundaryActive)
-                           for w in caught)
+            v, lv, boundary = ulagrangian.solve(ctx, u)
+            zu = ulagrangian.grad_l(ctx, u, validate=False)
             rows.append((u, v, lv, zu, boundary))
         csv_lines = ["u,v,l_value,z_u,boundary_active"]
         for u, v, lv, zu, boundary in rows:
@@ -327,8 +316,7 @@ class Runner:
                                 "stability": stability.status}
             checks.append(_check("tilt_stable_base", stability.stable,
                                  stability.status))
-        resolution = (self.resolution if ctx.dim_uprime <= 1
-                      else min(self.resolution, 7))
+        resolution = self._grid_resolution(ctx.dim_uprime)
         tr = manifold.trace(ctx, self.radii["delta"], resolution,
                             stability=stability)
         lines = ["u,v,f,l,z_u,dv,boundary"]
@@ -388,16 +376,25 @@ class Runner:
     def run_appendix(self):
         checks = []
         lam = float(self.config.grids.get("moreau_lambda", 0.5))
-        env_model = subjets.moreau_model(self.model, lam)
-        worst = 0.0
-        for d in np.eye(self.model.dim):
-            for s in (0.3, -0.2):
-                x = self.base_point + s * d
-                g = env_model.gradient_fn(x)
-                g_fd = subjets.fd_gradient(env_model.value_fn, x, 1e-5)
-                worst = max(worst, float(np.max(np.abs(g - g_fd))))
-        checks.append(_check("moreau_gradient_consistency", worst <= 1e-5,
-                             worst, 1e-5))
+        worst = None
+        if subjets.lambda_too_large(self.model, lam):
+            R = self.model.flags.quadratic_minorant[1]
+            checks.append(_check(
+                "moreau_gradient_consistency", True, status="skipped",
+                detail={"reason": "the declared quadratic minorant needs "
+                                  "lambda < 1/R",
+                        "R": R, "lambda": lam}))
+        else:
+            env_model = subjets.moreau_model(self.model, lam)
+            worst = 0.0
+            for d in np.eye(self.model.dim):
+                for s in (0.3, -0.2):
+                    x = self.base_point + s * d
+                    g = env_model.gradient_fn(x)
+                    g_fd = subjets.fd_gradient(env_model.value_fn, x, 1e-5)
+                    worst = max(worst, float(np.max(np.abs(g - g_fd))))
+            checks.append(_check("moreau_gradient_consistency", worst <= 1e-5,
+                                 worst, 1e-5))
         _, profile = self.second_order
         viol = subjets.para_convexity_check(profile, r=0.0
                                             if self.model.flags.convex else 2.0)

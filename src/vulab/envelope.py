@@ -1,12 +1,11 @@
 """Grid functions, lower convex envelopes and discrete Legendre transforms.
 
 The full-grid envelope goes through the lower convex hull of the lifted node
-cloud (exact at the nodes); single-point envelope queries use the defining
-linear program over the epigraph points so the two routes cross-check each
-other.  Conjugates are exact discrete suprema, computed separably per axis.
+cloud (exact at the nodes); single-point envelope queries solve the defining
+linear program over the epigraph points.  Conjugates are exact discrete
+suprema, computed separably per axis.
 """
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,11 +60,6 @@ def grid_from_batches(fun_many, box, resolution):
         vals[s:s + GRID_BLOCK] = fun_many(nodes[s:s + GRID_BLOCK])
     gf.values = vals.reshape(gf.resolution)
     return gf
-
-
-def grid_from_callable(fun, box, resolution):
-    """grid_from_batches for a function of one node."""
-    return grid_from_batches(lambda X: [fun(x) for x in X], box, resolution)
 
 
 def _lower_hull_1d(x, y):
@@ -199,28 +193,6 @@ def conjugate_at(gf, zs):
     for i, z in enumerate(zs):
         out[i] = float(np.max(nodes @ z - vals))
     return out
-
-
-def grid_to_csv(gf):
-    """Header (box, resolution) then node values in row-major order."""
-    buf = io.StringIO()
-    lo = ",".join(repr(float(v)) for v in gf.box[:, 0])
-    hi = ",".join(repr(float(v)) for v in gf.box[:, 1])
-    res = ",".join(str(r) for r in gf.resolution)
-    buf.write(f"# box_lo,{lo}\n# box_hi,{hi}\n# resolution,{res}\n")
-    buf.write("value\n")
-    for v in gf.values.ravel():
-        buf.write(f"{float(v)!r}\n")
-    return buf.getvalue()
-
-
-def grid_from_csv(text):
-    lines = text.strip().splitlines()
-    lo = [float(s) for s in lines[0].split(",")[1:]]
-    hi = [float(s) for s in lines[1].split(",")[1:]]
-    res = [int(s) for s in lines[2].split(",")[1:]]
-    vals = np.array([float(s) for s in lines[4:]])
-    return GridFunction(np.column_stack([lo, hi]), tuple(res), vals)
 
 
 # ---------------------------------------------------------------------------

@@ -5,14 +5,13 @@ second-order component.  Zero-dimensional components degenerate to the single
 node u = 0 and every check passes vacuously rather than being skipped.
 """
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BoundaryActive
 from .oracle import evaluate, subdifferential_polytope
-from .solvers import cube_lattice
+from .solvers import (ball_lattice, cube_lattice, max_difference_quotient,
+                      pair_differences)
 from . import subjets, ulagrangian
 
 
@@ -44,32 +43,10 @@ class ManifoldTrace:
         return np.column_stack([self.u_nodes, self.v_values])
 
 
-def _stencil_derivative(values, h):
-    """d/du along axis 0 of a 1-D node array of vectors: five-point central
-    stencils inside, five-point one-sided at the edges (both O(h^4))."""
-    m = len(values)
-    out = np.zeros_like(values, dtype=float)
-    for i in range(m):
-        if 2 <= i <= m - 3:
-            out[i] = (values[i - 2] - 8 * values[i - 1] + 8 * values[i + 1]
-                      - values[i + 2]) / (12.0 * h)
-        elif i == 0:
-            out[i] = (-25 * values[0] + 48 * values[1] - 36 * values[2]
-                      + 16 * values[3] - 3 * values[4]) / (12.0 * h)
-        elif i == 1:
-            out[i] = (-3 * values[0] - 10 * values[1] + 18 * values[2]
-                      - 6 * values[3] + values[4]) / (12.0 * h)
-        elif i == m - 2:
-            out[i] = (3 * values[m - 1] + 10 * values[m - 2] - 18 * values[m - 3]
-                      + 6 * values[m - 4] - values[m - 5]) / (12.0 * h)
-        else:
-            out[i] = (25 * values[m - 1] - 48 * values[m - 2] + 36 * values[m - 3]
-                      - 16 * values[m - 4] + 3 * values[m - 5]) / (12.0 * h)
-    return out
-
-
 def trace(ctx, delta, resolution=31, stability=None, max_shrink=3):
-    """Populate the trace over the U'-grid in B_delta(0).
+    """Populate the trace over the U'-grid in B_delta(0): the cube lattice
+    with `resolution` nodes per axis filtered to the closed ball, which is
+    the single node u = 0 when dim U' = 0.
 
     Preconditions: delta <= frame.eps; a stable verdict when one is supplied
     and the component is nontrivial.  BoundaryActive nodes are flagged (and
@@ -80,56 +57,33 @@ def trace(ctx, delta, resolution=31, stability=None, max_shrink=3):
         raise ValueError("trace requires a tilt-stable base point")
     k = ctx.dim_uprime
     for attempt in range(max_shrink + 1):
-        if k == 0:
-            nodes = np.zeros((1, 0))
-        elif k == 1:
-            nodes = np.linspace(-delta, delta, resolution)[:, None]
-        else:
-            nodes = cube_lattice(k, delta, resolution)
-            nodes = nodes[np.linalg.norm(nodes, axis=1) <= delta + 1e-12]
-        v_vals, l_vals, f_vals, z_vals, dv_vals, flags = [], [], [], [], [], []
-        for u in nodes:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always", BoundaryActive)
-                v = ulagrangian.v_of_u(ctx, u)
-                lv = ulagrangian.l_value(ctx, u)
-                flag = any(issubclass(w.category, BoundaryActive)
-                           for w in caught)
-                # a clamped selection shifts the optimality condition by the
-                # ball's normal cone, so membership validation only applies
-                # to interior nodes
-                zu = (ulagrangian.grad_l(ctx, u, validate=not flag)
-                      if k else np.zeros(0))
-                if k >= 2:
-                    dv_vals.append(_selection_jacobian(ctx, u))
-            flags.append(flag)
-            v_vals.append(v)
-            l_vals.append(lv)
-            f_vals.append(evaluate(ctx.model, ctx.point(u, v)))
-            z_vals.append(zu)
-        flags = np.array(flags)
+        nodes = ball_lattice(k, delta, resolution)
+        solves = [ulagrangian.solve(ctx, u) for u in nodes]
+        flags = np.array([boundary for _, _, boundary in solves])
         if not flags.any() or attempt == max_shrink:
             break
         delta *= 0.5
-    v_vals = np.array(v_vals).reshape(len(nodes), ctx.dim_vprime)
-    z_vals = np.array(z_vals).reshape(len(nodes), k)
-    if k == 1 and len(nodes) >= 5:
-        h = float(nodes[1, 0] - nodes[0, 0])
-        dv = _stencil_derivative(v_vals, h)[:, :, None]
-    elif k >= 2:
-        dv = np.array(dv_vals).reshape(len(nodes), ctx.dim_vprime, k)
-    else:
-        dv = np.zeros((len(nodes), ctx.dim_vprime, k))
+    m = len(nodes)
+    v_vals = np.array([v for v, _, _ in solves]).reshape(m, ctx.dim_vprime)
+    # a clamped selection shifts the optimality condition by the ball's
+    # normal cone, so membership validation only applies to interior nodes
+    z_vals = np.array([ulagrangian.grad_l(ctx, u, validate=not flag)
+                       for u, flag in zip(nodes, flags)]).reshape(m, k)
+    dv = np.array([_selection_jacobian(ctx, u)
+                   for u in nodes]).reshape(m, ctx.dim_vprime, k)
+    f_vals = np.array([evaluate(ctx.model, ctx.point(u, v))
+                       for u, v in zip(nodes, v_vals)])
+    l_vals = np.array([lv for _, lv, _ in solves])
     return ManifoldTrace(ctx=ctx, delta=delta, u_nodes=nodes, v_values=v_vals,
-                         f_values=np.array(f_vals), l_values=np.array(l_vals),
-                         z_u_values=z_vals, dv_values=dv,
-                         boundary_flags=flags, resolution=resolution)
+                         f_values=f_vals, l_values=l_vals, z_u_values=z_vals,
+                         dv_values=dv, boundary_flags=flags,
+                         resolution=resolution)
 
 
 def _selection_jacobian(ctx, u):
-    """dv/du at u from central differences of v_of_u, with the step of
-    grad_l, so the points are the ones grad_l has just solved.  Where u + h
-    or u - h leaves the U'-ball, the one-sided three-point pair on the
+    """dv/du at u from central differences of the selection, with the step
+    of grad_l, so the points are the ones grad_l has just solved.  Where
+    u + h or u - h leaves the U'-ball, the one-sided three-point pair on the
     inside is used, which is O(h^2) like the central one."""
     k = ctx.dim_uprime
     h = 1e-5 * (1.0 + np.linalg.norm(u))
@@ -138,31 +92,25 @@ def _selection_jacobian(ctx, u):
     def inside(w):
         return np.linalg.norm(w) <= ctx.frame.eps + 1e-12
 
+    def v(w):
+        return ulagrangian.solve(ctx, w)[0]
+
     for i in range(k):
         e = np.zeros(k)
         e[i] = h
         if inside(u + e) and inside(u - e):
-            jac[:, i] = (ulagrangian.v_of_u(ctx, u + e)
-                         - ulagrangian.v_of_u(ctx, u - e)) / (2.0 * h)
+            jac[:, i] = (v(u + e) - v(u - e)) / (2.0 * h)
         else:
             s = 1.0 if inside(u + 2 * e) else -1.0
-            jac[:, i] = s * (-3.0 * ulagrangian.v_of_u(ctx, u)
-                             + 4.0 * ulagrangian.v_of_u(ctx, u + s * e)
-                             - ulagrangian.v_of_u(ctx, u + 2 * s * e)) / (2.0 * h)
+            jac[:, i] = s * (-3.0 * v(u) + 4.0 * v(u + s * e)
+                             - v(u + 2 * s * e)) / (2.0 * h)
     return jac
 
 
 def c11_check(tr):
     """Max pairwise difference quotient of u -> z_U(u); the Lipschitz
     estimate Theorem-style smoothness is judged by."""
-    L = 0.0
-    for i in range(len(tr.u_nodes)):
-        for j in range(i + 1, len(tr.u_nodes)):
-            du = np.linalg.norm(tr.u_nodes[i] - tr.u_nodes[j])
-            if du < 1e-14:
-                continue
-            L = max(L, float(np.linalg.norm(tr.z_u_values[i] - tr.z_u_values[j])) / du)
-    return L
+    return max_difference_quotient(tr.u_nodes, tr.z_u_values)
 
 
 def grad_chain_check(tr, tau=1e-9):
@@ -249,12 +197,19 @@ def _certified_curvature(tr, idx, q_margin, certify):
 
 
 def dv_continuity_check(tr):
-    """Max jump of grad v between adjacent nodes (1-D grids); refinement
-    should shrink it for continuously differentiable selections."""
-    if tr.dim_u != 1 or len(tr.u_nodes) < 2:
+    """Max jump of dv between lattice neighbours, the node pairs one grid
+    spacing apart; refinement should shrink it for continuously
+    differentiable selections."""
+    if tr.resolution < 2:
         return 0.0
-    jumps = np.linalg.norm(np.diff(tr.dv_values[:, :, 0], axis=0), axis=1)
-    return float(np.max(jumps, initial=0.0))
+    spacing = 2.0 * tr.delta / (tr.resolution - 1)
+    dv = tr.dv_values.reshape(len(tr.u_nodes), -1)
+    jump = 0.0
+    for du, ddv in pair_differences(tr.u_nodes, dv):
+        near = np.sqrt(np.vecdot(du, du)) <= spacing * (1.0 + 1e-9)
+        jumps = np.sqrt(np.vecdot(ddv[near], ddv[near]))
+        jump = max(jump, float(np.max(jumps, initial=0.0)))
+    return jump
 
 
 def g_l_consistency(tr):

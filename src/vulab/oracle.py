@@ -51,10 +51,6 @@ class QuadraticPiece:
         c = 0.5 * p @ self.A @ p + self.b @ p + self.c
         return QuadraticPiece(A, b, c)
 
-    def to_json(self):
-        return {"type": "quadratic", "A": self.A.tolist(), "b": self.b.tolist(),
-                "c": self.c}
-
 
 class AffinePiece:
     """Smooth piece a.x + b."""
@@ -80,9 +76,6 @@ class AffinePiece:
 
     def restrict(self, p, M):
         return AffinePiece(M.T @ self.a, self.a @ p + self.b)
-
-    def to_json(self):
-        return {"type": "affine", "a": self.a.tolist(), "b": self.b}
 
 
 class CallablePiece:
@@ -122,12 +115,6 @@ class Flags:
     locally_lipschitz: bool = True
     convex: bool = False
     quadratic_minorant: tuple | None = None  # (alpha, R): alpha - R/2 ||x - xbar||^2 <= f
-
-    def to_json(self):
-        d = {"locally_lipschitz": self.locally_lipschitz, "convex": self.convex}
-        if self.quadratic_minorant is not None:
-            d["quadratic_minorant"] = list(self.quadratic_minorant)
-        return d
 
 
 @dataclass
@@ -300,15 +287,6 @@ def subdifferential_polytope(model, x, tau=DEFAULT_ACTIVE_TOL):
     if model.gradient_fn is not None:
         return SubdifferentialPolytope(np.atleast_2d(model.gradient_fn(x)), x, exact=False)
     raise CapabilityMissing("custom model has no subgradient oracle")
-
-
-def singular_subdifferential(model, x):
-    """Singular subdifferential; reported as {0} for locally Lipschitz models only."""
-    x = _check_point(model, x)
-    if not model.flags.locally_lipschitz:
-        raise CapabilityMissing(
-            "singular subdifferential is only reported for locally Lipschitz models")
-    return SubdifferentialPolytope(np.zeros((1, model.dim)), x)
 
 
 # ---------------------------------------------------------------------------
@@ -538,14 +516,3 @@ def load_problem(path):
         pass
     with open(path) as fh:
         return model_from_dict(json.load(fh))
-
-
-def model_to_dict(model):
-    if model.kind == "custom":
-        raise CapabilityMissing("custom callable models are not serializable")
-    data = {"dim": model.dim, "kind": model.kind, "name": model.name,
-            "pieces": [p.to_json() for p in model.pieces],
-            "flags": model.flags.to_json()}
-    if model.polyhedral_part:
-        data["polyhedral_part"] = [p.to_json() for p in model.polyhedral_part]
-    return data

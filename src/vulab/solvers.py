@@ -329,6 +329,27 @@ def cluster_minimizers(points, values, cluster_tol, sep_tol):
     return np.array(reps), best
 
 
+def pair_differences(X, Y):
+    """(x_i - x_j, y_i - y_j) for the row pairs i < j of X and Y, one block
+    of rows per i, so memory stays linear in the row count."""
+    X, Y = np.asarray(X, dtype=float), np.asarray(Y, dtype=float)
+    for i in range(len(X) - 1):
+        yield X[i] - X[i + 1:], Y[i] - Y[i + 1:]
+
+
+def max_difference_quotient(X, Y):
+    """max ||y_i - y_j|| / ||x_i - x_j|| over the row pairs with
+    ||x_i - x_j|| >= 1e-14 (the Lipschitz estimate of x_i -> y_i); 0.0 if
+    there are none."""
+    best = 0.0
+    for dx, dy in pair_differences(X, Y):
+        nx = np.sqrt(np.vecdot(dx, dx))
+        keep = nx >= 1e-14
+        ny = np.sqrt(np.vecdot(dy[keep], dy[keep]))
+        best = max(best, float(np.max(ny / nx[keep], initial=0.0)))
+    return best
+
+
 def hull_point_candidates(generators):
     """Deterministic points in co(generators): vertices, centroid, and a few
     edge/midpoint combinations."""

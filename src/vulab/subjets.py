@@ -524,6 +524,13 @@ def tilt_criterion_c11(bundle, dir_grid=None):
 # ---------------------------------------------------------------------------
 # Moreau envelope
 
+def lambda_too_large(model, lam):
+    """Whether the declared quadratic minorant (alpha, R) of the model rules
+    out the Moreau parameter lam: the envelope needs R < 1/lam."""
+    qm = model.flags.quadratic_minorant
+    return qm is not None and qm[1] > 0.0 and qm[1] >= 1.0 / lam - 1e-12
+
+
 def moreau_envelope(model, lam, x, solver_cfg=None, search_radius=None):
     """Infimal convolution value and prox point at x.
 
@@ -533,9 +540,9 @@ def moreau_envelope(model, lam, x, solver_cfg=None, search_radius=None):
     if lam <= 0.0:
         raise ValueError("lam must be positive")
     x = np.asarray(x, dtype=float)
-    qm = model.flags.quadratic_minorant
-    if qm is not None and qm[1] >= 1.0 / lam - 1e-12 and qm[1] > 0.0:
-        raise LambdaTooLarge(f"quadratic minorant R={qm[1]} requires lam < {1/qm[1]}")
+    if lambda_too_large(model, lam):
+        R = model.flags.quadratic_minorant[1]
+        raise LambdaTooLarge(f"quadratic minorant R={R} requires lam < {1/R}")
     cfg = solver_cfg or DEFAULT_SOLVER
     radius = search_radius or 4.0 * (1.0 + np.linalg.norm(x) + lam)
     prox_piece = QuadraticPiece(np.eye(model.dim) / lam, -x / lam,

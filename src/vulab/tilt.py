@@ -11,7 +11,8 @@ import numpy as np
 from .oracle import (AffinePiece, evaluate, evaluate_many,
                      subdifferential_polytope)
 from .solvers import (DEFAULT_SOLVER, ball_lattice, cluster_minimizers,
-                      hull_point_candidates, in_hull, minimize_branches)
+                      hull_point_candidates, in_hull, max_difference_quotient,
+                      minimize_branches, pair_differences)
 
 
 @dataclass
@@ -103,32 +104,20 @@ def tilt_stability_test(model, base_point, eps, tilt_radius=None, grid_size=11,
                             grid_radius=tilt_radius, status=status, probes=probes)
 
 
-def _pair_blocks(probes):
-    """(z_i - z_j, x_i - x_j) for the pairs i < j of the tilt map, one block
-    of rows per i, so memory stays linear in the probe count."""
-    Z = np.array([p.z for p in probes])
-    X = np.array([p.minimizer for p in probes])
-    for i in range(len(probes) - 1):
-        yield Z[i] - Z[i + 1:], X[i] - X[i + 1:]
-
-
 def lipschitz_estimate(probes):
     """Max difference quotient ||x(z) - x(z')|| / ||z - z'|| of the tilt map
     over all probe pairs with distinct tilts; 0.0 if there are none."""
-    lip = 0.0
-    for dz, dx in _pair_blocks(probes):
-        nz = np.sqrt(np.vecdot(dz, dz))
-        keep = nz >= 1e-14
-        nx = np.sqrt(np.vecdot(dx[keep], dx[keep]))
-        lip = max(lip, float(np.max(nx / nz[keep], initial=0.0)))
-    return lip
+    return max_difference_quotient([p.z for p in probes],
+                                   [p.minimizer for p in probes])
 
 
 def monotonicity_margin(probes):
     """min <x(z) - x(z'), z - z'> over all probe pairs; nonnegative for the
     tilt map of a convex function, +inf if there are no pairs."""
     return min((float(np.min(np.vecdot(dx, dz)))
-                for dz, dx in _pair_blocks(probes)), default=np.inf)
+                for dz, dx in pair_differences([p.z for p in probes],
+                                               [p.minimizer for p in probes])),
+               default=np.inf)
 
 
 def prox_regularity_test(model, base_point, anchor_z, eps, r_grid,

@@ -15,7 +15,8 @@ from .errors import BoundaryActive, InconsistentGradient
 from .oracle import (AffinePiece, evaluate, evaluate_many,
                      subdifferential_polytope)
 from .solvers import (DEFAULT_SOLVER, cluster_minimizers, hull_distance,
-                      line_minimize, minimize_branches, sphere_directions)
+                      line_minimize, max_difference_quotient,
+                      minimize_branches, sphere_directions)
 from .vu import principal_angle
 
 
@@ -147,7 +148,9 @@ def _anchored_value(ctx, u, v):
     return float(objective(np.asarray(v, dtype=float)[None, :])[0])
 
 
-def _solve_cached(ctx, u):
+def solve(ctx, u):
+    """(v(u), L(u), boundary_active) from the inner solve at u, cached per
+    context; v_of_u, l_value and grad_l all read this one solve."""
     key = tuple(np.round(np.asarray(u, float), 14))
     if key not in ctx._cache:
         v, _, boundary = _inner_solve(ctx, u)
@@ -161,7 +164,7 @@ def v_of_u(ctx, u):
     u = np.asarray(u, dtype=float)
     if np.linalg.norm(u) > ctx.frame.eps + 1e-12:
         raise ValueError("u outside the U'-ball")
-    v, _, boundary = _solve_cached(ctx, u)
+    v, _, boundary = solve(ctx, u)
     if boundary:
         warnings.warn("selection v(u) is active on the V'-ball boundary",
                       BoundaryActive, stacklevel=2)
@@ -174,7 +177,7 @@ def l_value(ctx, u):
     u = np.asarray(u, dtype=float)
     if np.linalg.norm(u) > ctx.frame.eps + 1e-12:
         return np.inf
-    v, val, boundary = _solve_cached(ctx, u)
+    v, val, boundary = solve(ctx, u)
     if boundary:
         warnings.warn("selection v(u) is active on the V'-ball boundary",
                       BoundaryActive, stacklevel=2)
@@ -193,7 +196,7 @@ def grad_l(ctx, u, fd_step=None, membership_tol=1e-5, validate=True):
         e[i] = step
         g[i] = (l_value(ctx, u + e) - l_value(ctx, u - e)) / (2.0 * step)
     if validate:
-        v, _, _ = _solve_cached(ctx, u)
+        v, _, _ = solve(ctx, u)
         point = ctx.point(u, v)
         world = np.zeros(ctx.frame.dim)
         if ctx.dim_uprime:
@@ -235,7 +238,7 @@ def little_oh_check(ctx, radii, n_dirs=None):
     for r in radii:
         worst = 0.0
         for d in dirs:
-            v, _, _ = _solve_cached(ctx, r * d)
+            v, _, _ = solve(ctx, r * d)
             worst = max(worst, float(np.linalg.norm(v)) / r)
         out.append((float(r), worst))
     return out
@@ -284,11 +287,4 @@ def lipschitz_gradient_bound(ctx, u_grid, fd_step=None):
     C^{1,1} Lagrangians); reported, not asserted."""
     nodes = [np.atleast_1d(np.asarray(u, float)) for u in u_grid]
     grads = [grad_l(ctx, u, fd_step=fd_step, validate=False) for u in nodes]
-    bound = 0.0
-    for i in range(len(nodes)):
-        for j in range(i + 1, len(nodes)):
-            du = np.linalg.norm(nodes[i] - nodes[j])
-            if du < 1e-14:
-                continue
-            bound = max(bound, float(np.linalg.norm(grads[i] - grads[j])) / du)
-    return bound
+    return max_difference_quotient(nodes, grads)

@@ -191,13 +191,3 @@ def frame_to_json(frame):
         "v_basis": frame.v_basis.tolist(),
         "eps": frame.eps,
     }, sort_keys=True)
-
-
-def frame_from_json(text):
-    d = json.loads(text)
-    return VUFrame(base_point=np.array(d["base_point"]),
-                   anchor=np.array(d["anchor"]),
-                   u_basis=np.array(d["u_basis"]).reshape(len(d["base_point"]), -1),
-                   v_basis=np.array(d["v_basis"]).reshape(len(d["base_point"]), -1),
-                   eps=float(d["eps"]))
-

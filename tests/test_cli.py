@@ -11,18 +11,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vulab import cli
-from vulab.errors import SolverBudgetExceeded
+from vulab import cli, ulagrangian
+from vulab.errors import BoundaryActive, SolverBudgetExceeded
+
+from conftest import crossing_selection
 
 
 def run_campaign(problem, campaign, out, **kwargs):
     config = cli.ExperimentConfig(problem=problem, campaign=[campaign],
                                   output_dir=str(out), **kwargs)
     return cli.run(config)
-
-
-def test_schema_version():
-    assert cli.report_schema_version() == "1"
 
 
 def test_decompose_crossing_report(tmp_path):
@@ -232,6 +230,9 @@ NO_DIM = {k: v for k, v in QUADRATIC.items() if k != "dim"}
                  "workers", id="removed_config_key"),
     pytest.param("--config", {"campaign": ["decompose"]}, "'problem'",
                  id="config_without_problem"),
+    pytest.param("--config", {"problem": "abs_diff",
+                              "radii": {"eps": 0.2, "delta": 0.3}},
+                 "radii.delta", id="delta_beyond_eps"),
 ])
 def test_main_bad_input_exits_usage_error(tmp_path, monkeypatch, capsys, flag,
                                           content, needle):
@@ -248,22 +249,75 @@ def test_main_bad_input_exits_usage_error(tmp_path, monkeypatch, capsys, flag,
     assert not (tmp_path / "out").exists()
 
 
+# -||x||^2 without a declared quadratic minorant: no lambda guard applies,
+# and the prox search runs into its search ball at every radius
+UNBOUNDED_PROX = {"dim": 2, "kind": "max_of_smooth", "name": "neg_norm",
+                  "pieces": [{"type": "quadratic",
+                              "A": [[-2.0, 0.0], [0.0, -2.0]]}]}
+
+
 def test_campaign_error_keeps_other_campaigns(tmp_path):
-    """quadratic(-I) appendix raises LambdaTooLarge; the run still records
-    decompose, reports the error as a failed check and writes the manifest."""
+    """An appendix whose prox search raises LambdaTooLarge; the run still
+    records decompose, reports the error as a failed check and writes the
+    manifest."""
+    problem = tmp_path / "neg_norm.json"
+    problem.write_text(json.dumps(UNBOUNDED_PROX))
+    out = tmp_path / "out"
     manifest, code = cli.run(cli.ExperimentConfig(
-        problem="quadratic(-I)", campaign=["decompose", "appendix"],
-        output_dir=str(tmp_path)))
+        problem=str(problem), campaign=["decompose", "appendix"],
+        output_dir=str(out)))
     assert code == 1 and manifest["overall"] == "fail"
-    written = json.loads((tmp_path / "manifest.json").read_text())
+    written = json.loads((out / "manifest.json").read_text())
     assert written["campaigns"].keys() == {"decompose", "appendix"}
     assert {c["status"] for c in
             written["campaigns"]["decompose"]["checks"]} == {"pass"}
     check, = written["campaigns"]["appendix"]["checks"]
     assert check["name"] == "campaign_completed" and check["status"] == "fail"
     assert check["detail"]["error"] == "LambdaTooLarge"
-    assert (tmp_path / "decompose.json").exists()
-    assert (tmp_path / "appendix.json").exists()
+    assert "search-ball" in check["detail"]["message"]
+    assert (out / "decompose.json").exists()
+    assert (out / "appendix.json").exists()
+
+
+def test_appendix_skips_moreau_check_when_lambda_exceeds_minorant(tmp_path):
+    """quadratic(-I) declares the minorant R = 2, so lambda = 0.5 has no
+    Moreau envelope: that check is skipped with R and lambda, and the other
+    appendix checks still run."""
+    manifest, code = run_campaign("quadratic(-I)", "appendix", tmp_path)
+    assert code == 0 and manifest["overall"] == "pass"
+    checks = {c["name"]: c for c in
+              manifest["campaigns"]["appendix"]["checks"]}
+    moreau = checks["moreau_gradient_consistency"]
+    assert moreau["status"] == "skipped"
+    assert (moreau["detail"]["R"], moreau["detail"]["lambda"]) == (2.0, 0.5)
+    assert checks["rank1_support_para_convex"]["status"] == "pass"
+    assert checks["conjugate_hessian_duality"]["status"] == "skipped"
+
+
+def test_lagrangian_boundary_column_reads_the_node_solve(tmp_path):
+    """boundary_active is the flag of the solve at the row's own u.  With
+    the V'-ball just wider than |v(0.075)|, the grid ends u = +-0.075 are
+    interior although the outer neighbours of grad_l's difference are
+    clamped to the ball."""
+    eps_v = crossing_selection(0.075) * (1.0 + 1e-6)
+    config = cli.ExperimentConfig(problem="crossing_max",
+                                  campaign=["lagrangian"],
+                                  radii={"eps": 0.3, "eps_v": eps_v},
+                                  output_dir=str(tmp_path))
+    runner = cli.Runner(config)
+    with pytest.warns(BoundaryActive):
+        runner.run()
+    ctx = ulagrangian.ULagContext(model=runner.model, frame=runner.frame,
+                                  eps_v=eps_v)
+    rows = (tmp_path / "lagrangian.csv").read_text().splitlines()[1:]
+    flags = {float(r.split(";")[0]): r.split(";")[-1] for r in rows}
+    assert len(flags) == 21
+    for u, flag in flags.items():
+        assert flag == str(ulagrangian.solve(ctx, [u])[2])
+    assert flags[-0.075] == flags[0.075] == "False"
+    h = 1e-5 * (1.0 + 0.075)
+    assert ulagrangian.solve(ctx, [0.075 + h])[2]
+    assert ulagrangian.solve(ctx, [-0.075 - h])[2]
 
 
 def test_all_computes_each_study_ingredient_once(tmp_path, monkeypatch):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,8 @@ from vulab.errors import DimensionTooLarge
 
 
 def double_well():
-    return env.grid_from_callable(lambda x: (x[0] ** 2 - 1.0) ** 2,
-                                  [[-2.0, 2.0]], 401)
+    return env.grid_from_batches(lambda X: (X[:, 0] ** 2 - 1.0) ** 2,
+                                 [[-2.0, 2.0]], 401)
 
 
 def brute_envelope_1d(gf, i):
@@ -37,8 +39,8 @@ def test_envelope_double_well():
 
 
 def test_envelope_convex_identity(abs_plus_quad):
-    gf = env.grid_from_callable(lambda w: oracle.evaluate(abs_plus_quad, w),
-                                [[-1, 1], [-1, 1]], (61, 61))
+    gf = env.grid_from_batches(lambda X: oracle.evaluate_many(abs_plus_quad, X),
+                               [[-1, 1], [-1, 1]], (61, 61))
     ce = env.convex_envelope(gf)
     assert np.max(np.abs(ce.values - gf.values)) <= 1e-9
 
@@ -84,8 +86,9 @@ def test_envelope_lp_matches_hull():
         assert env.envelope_at(gf, [xs[i]]) == pytest.approx(ce.values[i],
                                                              abs=1e-9)
     # 2-D spot check on a nonconvex saddle-like grid
-    g2 = env.grid_from_callable(lambda w: (w[0] ** 2 - 0.5) ** 2 + w[1] ** 2,
-                                [[-1, 1], [-1, 1]], (41, 41))
+    g2 = env.grid_from_batches(
+        lambda X: (X[:, 0] ** 2 - 0.5) ** 2 + X[:, 1] ** 2,
+        [[-1, 1], [-1, 1]], (41, 41))
     c2 = env.convex_envelope(g2)
     nodes = g2.nodes()
     for idx in (420, 840, 861):
@@ -94,12 +97,12 @@ def test_envelope_lp_matches_hull():
 
 
 def test_legendre_examples():
-    g = env.grid_from_callable(lambda x: 0.5 * x[0] ** 2, [[-2, 2]], 401)
+    g = env.grid_from_batches(lambda X: 0.5 * X[:, 0] ** 2, [[-2, 2]], 401)
     lg = env.legendre(g, [[-1.5, 1.5]], 31)
     zs = lg.axes()[0]
     assert lg.values[np.argmin(np.abs(zs - 1.0))] == pytest.approx(0.5,
                                                                    abs=1e-9)
-    gabs = env.grid_from_callable(lambda x: abs(x[0]), [[-2, 2]], 401)
+    gabs = env.grid_from_batches(lambda X: np.abs(X[:, 0]), [[-2, 2]], 401)
     out = env.conjugate_at(gabs, [[0.5], [1.5]])
     assert out[0] == pytest.approx(0.0, abs=1e-12)
     # box-truncated conjugate of |u|: sup over [-2,2] of 1.5u - |u| = 1.0
@@ -149,17 +152,6 @@ def test_envelope_touches_at_argmin():
     assert env.envelope_at(gf, [1.0]) == pytest.approx(0.0, abs=1e-12)
 
 
-def test_grid_csv_round_trip():
-    gf = env.grid_from_callable(lambda w: w[0] ** 2 + 0.5 * w[1],
-                                [[-1, 1], [0, 2]], (5, 7))
-    text = env.grid_to_csv(gf)
-    back = env.grid_from_csv(text)
-    assert np.array_equal(back.values, gf.values)
-    assert np.array_equal(back.box, gf.box)
-    assert back.resolution == gf.resolution
-    assert env.grid_to_csv(back) == text
-
-
 # |x1 - x2 + x3/2| + ||x||^2 in R^3: U is a plane that the SVD spans by two
 # oblique vectors, so each node sums two rounded basis products
 TILTED_ABS_3D = {
@@ -176,7 +168,9 @@ def _model_and_frame(problem):
         poly = oracle.subdifferential_polytope(model, np.zeros(3))
         frame = vu.decompose(poly, np.zeros(3), eps=0.5)
         if problem.endswith("json"):    # row-major bases round differently
-            frame = vu.frame_from_json(vu.frame_to_json(frame))
+            frame = dataclasses.replace(
+                frame, u_basis=np.ascontiguousarray(frame.u_basis),
+                v_basis=np.ascontiguousarray(frame.v_basis))
         return model, frame
     runner = cli.Runner(cli.ExperimentConfig(problem=problem))
     return runner.model, runner.frame
@@ -200,7 +194,8 @@ def test_anchored_grid_matches_scalar_build(problem):
         return oracle.evaluate(model, frame.base_point + w)
 
     box = np.tile([-frame.eps, frame.eps], (frame.dim, 1))
-    expect = env.grid_from_callable(h, box, (41,) * frame.dim)
+    expect = env.grid_from_batches(lambda C: [h(c) for c in C], box,
+                                   (41,) * frame.dim)
     got = env.anchored_grid(model, frame, resolution=41)
     assert got.resolution == expect.resolution
     np.testing.assert_array_equal(got.values.view(np.uint64),
@@ -217,7 +212,6 @@ def test_grid_from_batches_blocks():
 
     res = (101, 91)
     gf = env.grid_from_batches(fun_many, [[-1.0, 1.0], [0.0, 3.0]], res)
-    ref = env.grid_from_callable(lambda x: x[0] - 2.0 * x[1],
-                                 [[-1.0, 1.0], [0.0, 3.0]], res)
-    np.testing.assert_array_equal(gf.values, ref.values)
+    ref = [x[0] - 2.0 * x[1] for x in gf.nodes()]
+    np.testing.assert_array_equal(gf.values.ravel(), ref)
     assert max(sizes) == env.GRID_BLOCK and sum(sizes) == 101 * 91

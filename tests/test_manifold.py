@@ -143,17 +143,16 @@ def test_envelope_agreement_on_trace(crossing_trace):
     assert resid <= 2.0 * spacing * slope_scale
 
 
-def test_dv_on_a_two_dimensional_component(tmp_path):
+@pytest.fixture(scope="module")
+def crossing3_ctx(tmp_path_factory):
     """The 3-D crossing model f = max{x1^2 + x2^2 + (x3 - 1)^2, x3} at
-    (0, 0, (3 - sqrt 5)/2), loaded from JSON, has dim U = 2 and dim V' = 1
-    with v(u) = (sqrt 5 - sqrt(5 - 4|u|^2))/2.  The trace's dv matches
-    grad v = 2u / sqrt(5 - 4|u|^2) at every lattice node, so the chain
-    rule holds (nearest-neighbour quotients of v read 0.021 here)."""
+    (0, 0, (3 - sqrt 5)/2), loaded from JSON: dim U = 2 and dim V' = 1 with
+    v(u) = (sqrt 5 - sqrt(5 - 4|u|^2))/2."""
     problem = {"dim": 3, "kind": "max_of_smooth", "name": "crossing_max3",
                "pieces": [{"type": "quadratic", "A": (2.0 * np.eye(3)).tolist(),
                            "b": [0.0, 0.0, -2.0], "c": 1.0},
                           {"type": "affine", "a": [0.0, 0.0, 1.0]}]}
-    path = tmp_path / "crossing_max3.json"
+    path = tmp_path_factory.mktemp("problems") / "crossing_max3.json"
     path.write_text(json.dumps(problem))
     model = oracle.load_problem(str(path))
     base = np.array([0.0, 0.0, (3.0 - np.sqrt(5.0)) / 2.0])
@@ -161,6 +160,14 @@ def test_dv_on_a_two_dimensional_component(tmp_path):
     ctx = ug.ULagContext(model=model,
                          frame=vu.decompose(poly, np.zeros(3), eps=0.3))
     assert (ctx.dim_uprime, ctx.dim_vprime) == (2, 1)
+    return ctx
+
+
+def test_dv_on_a_two_dimensional_component(crossing3_ctx):
+    """The trace's dv matches grad v = 2u / sqrt(5 - 4|u|^2) at every
+    lattice node, so the chain rule holds (nearest-neighbour quotients of v
+    read 0.021 here)."""
+    ctx = crossing3_ctx
     tr = mf.trace(ctx, 0.075, 5)
     assert len(tr.u_nodes) == 13
     U, e3 = ctx.uprime_basis[:2], ctx.vprime_basis[2, 0]
@@ -179,3 +186,12 @@ def test_selection_jacobian_one_sided_at_the_ball_edge(crossing_ctx):
         dv = mf._selection_jacobian(crossing_ctx, np.array([u]))
         expect = 2.0 * u / np.sqrt(5.0 - 4.0 * u * u)
         assert abs(abs(dv[0, 0]) - abs(expect)) <= 1e-8
+
+
+def test_dv_continuity_on_a_two_dimensional_component(crossing3_ctx):
+    """The dv jump between lattice neighbours is positive on the curved
+    3-D crossing selection and halves when the spacing does."""
+    jump = mf.dv_continuity_check(mf.trace(crossing3_ctx, 0.075, 7))
+    jump_fine = mf.dv_continuity_check(mf.trace(crossing3_ctx, 0.075, 13))
+    assert jump > 1e-3
+    assert abs(jump_fine / jump - 0.5) <= 0.3 * 0.5

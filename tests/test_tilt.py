@@ -3,7 +3,8 @@ import warnings
 import numpy as np
 import pytest
 
-from vulab import envelope, oracle, subjets, tilt
+from vulab import (envelope, manifold, oracle, subjets, tilt, ulagrangian,
+                   vu)
 from vulab.errors import SolverBudgetExceeded
 from vulab.solvers import SolverConfig
 
@@ -95,22 +96,35 @@ def test_stability_center_anchored(abs_plus_quad, crossing):
         assert np.linalg.norm(zero_probe.minimizer - base) <= 1e-8
 
 
+def pair_loop_quotient(X, Y):
+    """Reference: the nested pair loop that solvers.max_difference_quotient
+    replaces by an array form."""
+    best = 0.0
+    for i in range(len(X)):
+        for j in range(i + 1, len(X)):
+            dx = np.linalg.norm(X[i] - X[j])
+            if dx < 1e-14:
+                continue
+            best = max(best, np.linalg.norm(Y[i] - Y[j]) / dx)
+    return best
+
+
 def pairwise_statistics(probes):
     """Reference: the nested pair loops that lipschitz_estimate and
     monotonicity_margin replace by array forms."""
-    lip, mono = 0.0, np.inf
+    mono = np.inf
     for i in range(len(probes)):
         for j in range(i + 1, len(probes)):
             p, q = probes[i], probes[j]
             mono = min(mono, float((p.minimizer - q.minimizer) @ (p.z - q.z)))
-            dz = np.linalg.norm(p.z - q.z)
-            if dz < 1e-14:
-                continue
-            lip = max(lip, np.linalg.norm(p.minimizer - q.minimizer) / dz)
+    lip = pair_loop_quotient([p.z for p in probes],
+                             [p.minimizer for p in probes])
     return lip, mono
 
 
-def test_tilt_map_statistics_match_pair_loops(abs_plus_quad, crossing):
+def test_tilt_map_statistics_match_pair_loops(abs_plus_quad, crossing,
+                                              apq_trace, crossing_trace,
+                                              crossing_ctx):
     for model in (abs_plus_quad, crossing):
         v = tilt.tilt_stability_test(model, model.meta["default_base_point"],
                                      model.meta["default_radius"])
@@ -128,6 +142,19 @@ def test_tilt_map_statistics_match_pair_loops(abs_plus_quad, crossing):
     assert repr(tilt.monotonicity_margin(probes)) == repr(mono)
     assert tilt.lipschitz_estimate(probes[:1]) == 0.0
     assert tilt.monotonicity_margin(probes[:1]) == np.inf
+    # c11_check and lipschitz_gradient_bound share the quotient kernel, on
+    # 1-D traces and on a 2-D one
+    q = oracle.builtin("quadratic(diag(1,10))")
+    poly = oracle.subdifferential_polytope(q, np.zeros(2))
+    ctx2 = ulagrangian.ULagContext(
+        model=q, frame=vu.decompose(poly, np.zeros(2), eps=1.0))
+    for tr in (apq_trace, crossing_trace, manifold.trace(ctx2, 0.2, 5)):
+        expect = pair_loop_quotient(tr.u_nodes, tr.z_u_values)
+        assert repr(manifold.c11_check(tr)) == repr(float(expect))
+    grid = [np.array([t]) for t in np.linspace(-0.1, 0.1, 9)]
+    grads = [ulagrangian.grad_l(crossing_ctx, u, validate=False) for u in grid]
+    assert (repr(ulagrangian.lipschitz_gradient_bound(crossing_ctx, grid))
+            == repr(float(pair_loop_quotient(grid, grads))))
 
 
 def test_tilt_map_capped_polish_is_approximate():

@@ -213,7 +213,7 @@ def test_cached_value_is_the_solve_value(apq_ctx, crossing_ctx, monkeypatch):
         for t in (-0.1, -0.02, 0.0, 0.05, 0.1):
             u = np.array([t])
             count = len(solves)
-            v, cached, _ = ug._solve_cached(ctx, u)
+            v, cached, _ = ug.solve(ctx, u)
             assert len(solves) == count + 1
             res = solves[-1]
             row = [i for i, p in enumerate(res.points) if np.array_equal(p, v)]

@@ -129,13 +129,3 @@ def test_rel_interior_contains(crossing):
     poly = oracle.subdifferential_polytope(crossing, base)
     assert vu.rel_interior_contains(poly, np.zeros(2))
     assert not vu.rel_interior_contains(poly, poly.generators[0])  # endpoint
-
-
-def test_frame_json_round_trip(abs_plus_quad):
-    poly = oracle.subdifferential_polytope(abs_plus_quad, np.zeros(2))
-    frame = vu.decompose(poly, np.zeros(2), eps=0.7)
-    again = vu.frame_from_json(vu.frame_to_json(frame))
-    assert np.allclose(again.u_basis, frame.u_basis)
-    assert np.allclose(again.v_basis, frame.v_basis)
-    assert again.eps == frame.eps
-    assert vu.frame_to_json(again) == vu.frame_to_json(frame)
