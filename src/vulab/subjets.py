@@ -106,37 +106,71 @@ class ShellTrace:
         return bool(v[-1] > threshold and increasing)
 
 
-def _min_over_direction_ball(model, x, z, h, t, radius, refine, fx):
-    """min of Delta2 over directions u near h with ||u|| = ||h||,
-    deterministic lattice plus shrinking pattern refinement.
+def _shell_minima(model, X, Z, H, T, R, FX, refine):
+    """min of Delta2 over directions u near h with ||u|| = ||h||, for every
+    row (x, z, h, t, radius, f(x)) of the stacked arrays at once.
+
+    Each row is one deterministic search: the offset lattice around the best
+    direction so far, then shrinking pattern refinement.  All rows step
+    through the offsets in lockstep with one evaluate_many per offset, and
+    each row follows the path of a one-point search bit for bit.
 
     Candidates are projected back to the sphere: the liminf lets the radial
     component of u -> h vanish, and keeping it would bias smooth quotients by
     O(ball radius)."""
-    h = np.asarray(h, dtype=float)
-    n = len(h)
-    scale = np.linalg.norm(h)
-    offs = _offset_lattice(n)
+    scale = np.sqrt(np.vecdot(H, H))
+    # the scalar power t ** 2 of a one-point search: the array form (t * t)
+    # rounds differently for some t
+    T2 = np.array([t ** 2 for t in T])
 
-    def project(u):
-        gap = u - h
-        norm = np.linalg.norm(gap)
-        if norm > radius:
-            u = h + gap * (radius / norm)
-        nu = np.linalg.norm(u)
-        return u if nu < 1e-15 else u * (scale / nu)
+    def quotients(U):
+        F = evaluate_many(model, X + T[:, None] * U)
+        Q = 2.0 * (F - FX - T * np.vecdot(Z, U)) / T2
+        return np.where(np.isfinite(F), Q, np.inf)
 
-    rad = radius
-    best_u = h
-    best = delta2(model, x, z, t, h, fx)
+    def project(U):
+        G = U - H
+        norm = np.sqrt(np.vecdot(G, G))
+        out = norm > R
+        U[out] = H[out] + G[out] * (R[out] / norm[out])[:, None]
+        nu = np.sqrt(np.vecdot(U, U))
+        on = nu >= 1e-15
+        U[on] = U[on] * (scale[on] / nu[on])[:, None]
+        return U
+
+    rad = R
+    best_u = H
+    best = quotients(H)
     for _ in range(refine + 1):
-        for o in offs[1:]:
-            u = project(best_u + rad * o)
-            val = delta2(model, x, z, t, u, fx)
-            if val < best:
-                best, best_u = val, u
-        rad *= 0.3
+        for o in _offset_lattice(H.shape[1])[1:]:
+            U = project(best_u + rad[:, None] * o)
+            V = quotients(U)
+            better = V < best
+            best = np.where(better, V, best)
+            best_u = np.where(better[:, None], U, best_u)
+        rad = rad * 0.3
     return best
+
+
+def _shell_traces(model, sites, specs, refine):
+    """The ShellTrace of dini_second for every spec (site, h, ts, radii),
+    all shells of all specs searched in one _shell_minima batch.
+
+    sites lists the points (x, z); a spec names its site by index and gives
+    one ball radius per shell t."""
+    X = np.array([x for x, _ in sites], dtype=float)
+    Z = np.array([z for _, z in sites], dtype=float)
+    FX = evaluate_many(model, X)
+    lengths = [len(ts) for _, _, ts, _ in specs]
+    idx = np.repeat([s for s, _, _, _ in specs], lengths)
+    H = np.repeat(np.array([h for _, h, _, _ in specs], dtype=float),
+                  lengths, axis=0)
+    T = np.concatenate([ts for _, _, ts, _ in specs])
+    R = np.concatenate([radii for _, _, _, radii in specs])
+    best = _shell_minima(model, X[idx], Z[idx], H, T, R, FX[idx], refine)
+    parts = np.split(best, np.cumsum(lengths)[:-1])
+    return [ShellTrace(ts=np.array(ts), values=v)
+            for (_, _, ts, _), v in zip(specs, parts)]
 
 
 def dini_second(model, x, z, h, t_grid=None, dir_ball=0.1, ball_radius=None,
@@ -147,16 +181,10 @@ def dini_second(model, x, z, h, t_grid=None, dir_ball=0.1, ball_radius=None,
     radius ball_radius (fixed) or dir_ball*t (shrinking).  The full shell
     trace is returned so divergence stays inspectable.
     """
-    x = np.asarray(x, dtype=float)
-    z = np.asarray(z, dtype=float)
-    h = np.asarray(h, dtype=float)
     ts = np.asarray(t_grid if t_grid is not None else default_t_grid())
-    fx = evaluate(model, x)
-    vals = np.empty(len(ts))
-    for i, t in enumerate(ts):
-        r = ball_radius if ball_radius is not None else dir_ball * t
-        vals[i] = _min_over_direction_ball(model, x, z, h, t, r, refine, fx)
-    return ShellTrace(ts=np.array(ts), values=vals)
+    radii = (dir_ball * ts if ball_radius is None
+             else np.full(len(ts), ball_radius, dtype=float))
+    return _shell_traces(model, [(x, z)], [(0, h, ts, radii)], refine)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -219,12 +247,8 @@ def attentive_probes(model, x, z, cfg):
     return probes
 
 
-def _symmetric_estimate(model, xp, zp, h, ts, ball_radius, cfg):
+def _symmetric_estimate(tp, tm, cfg):
     """min over +-h of the per-probe Dini estimates; divergent needs both."""
-    tp = dini_second(model, xp, zp, h, t_grid=ts, ball_radius=ball_radius,
-                     refine=cfg.refine)
-    tm = dini_second(model, xp, zp, -np.asarray(h), t_grid=ts,
-                     ball_radius=ball_radius, refine=cfg.refine)
     dp = tp.divergent(cfg.divergence_threshold)
     dm = tm.divergent(cfg.divergence_threshold)
     if dp and dm:
@@ -237,33 +261,52 @@ def _symmetric_estimate(model, xp, zp, h, ts, ball_radius, cfg):
     return False, float(min(vals)), (tp, tm)
 
 
-def rank1_support(model, x, z, h, cfg=None, probes=None):
-    """Rank-1 support q of the limiting subhessian along unit direction h.
+def rank1_supports(model, x, z, H, cfg=None, probes=None):
+    """rank1_support for every unit direction in the rows of H, with the
+    Dini searches of all directions, sites and shells run in one batch.
 
-    Value = sup over the base point and attentive probes of the symmetric
-    Dini estimate; divergent as soon as one probe diverges in both +-h.
     probes, when given, is attentive_probes(model, x, z, cfg), so that
     callers querying many directions at one (x, z) compute it once.
     """
     cfg = cfg or RankOneConfig()
-    h = np.asarray(h, dtype=float)
-    ts = cfg.t_grid if cfg.t_grid is not None else default_t_grid()
-    base = _symmetric_estimate(model, np.asarray(x, float), np.asarray(z, float),
-                               h, ts, None, cfg)
-    results = [base]
+    H = np.asarray(H, dtype=float).reshape(-1, len(x))
+    if len(H) == 0:
+        return []
+    ts = np.asarray(cfg.t_grid if cfg.t_grid is not None else default_t_grid())
+    sites = [(np.asarray(x, float), np.asarray(z, float))]
+    shells = [(ts, cfg.dir_ball * ts)]
     if cfg.attentive:
         if probes is None:
             probes = attentive_probes(model, x, z, cfg)
         for xp, zp, rho in probes:
             pts = rho * np.asarray(cfg.probe_t_fracs)
-            ball = cfg.probe_ball_scale * rho
-            results.append(_symmetric_estimate(model, xp, zp, h, pts, ball, cfg))
-    if any(r[0] for r in results):
-        return RankOneResult(divergent=True, value=None,
-                             shells=[r[2] for r in results])
-    value = max(r[1] for r in results)
-    return RankOneResult(divergent=False, value=value,
-                         shells=[r[2] for r in results])
+            sites.append((xp, zp))
+            shells.append((pts, np.full(len(pts), cfg.probe_ball_scale * rho)))
+    specs = [(s, sign * h, t, r) for h in H for s, (t, r) in enumerate(shells)
+             for sign in (1.0, -1.0)]
+    traces = _shell_traces(model, sites, specs, cfg.refine)
+    out = []
+    for k in range(len(H)):
+        first = 2 * len(sites) * k
+        results = [_symmetric_estimate(traces[first + 2 * s],
+                                       traces[first + 2 * s + 1], cfg)
+                   for s in range(len(sites))]
+        divergent = any(r[0] for r in results)
+        out.append(RankOneResult(
+            divergent=divergent,
+            value=None if divergent else max(r[1] for r in results),
+            shells=[r[2] for r in results]))
+    return out
+
+
+def rank1_support(model, x, z, h, cfg=None, probes=None):
+    """Rank-1 support q of the limiting subhessian along unit direction h.
+
+    Value = sup over the base point and attentive probes of the symmetric
+    Dini estimate; divergent as soon as one probe diverges in both +-h.
+    """
+    return rank1_supports(model, x, z, np.asarray(h, dtype=float)[None, :],
+                          cfg, probes)[0]
 
 
 @dataclass
@@ -272,12 +315,42 @@ class RankOneProfile:
     values: list                 # float per direction, None when divergent
     divergence_threshold: float
     t_grid: np.ndarray
-    support: object = None       # callable h -> RankOneResult for re-evaluation
+    support: object = None       # callable H -> RankOneResult per row of H
     meta: dict = field(default_factory=dict)
 
     def finite_directions(self):
         return np.array([d for d, v in zip(self.directions, self.values)
                          if v is not None]).reshape(-1, self.directions.shape[1])
+
+    def _grid_value(self, d, tol):
+        """q at the first profile direction within tol of the unit d (inf
+        when divergent), or None when d is off the grid."""
+        D = self.directions - d
+        hits = np.flatnonzero(np.sqrt(np.vecdot(D, D)) <= tol)
+        if not hits.size:
+            return None
+        v = self.values[hits[0]]
+        return np.inf if v is None else v
+
+    def prefetch(self, points, tol=1e-10):
+        """Fill the value_at cache for every point off the profile grid with
+        one batched support call, in the order value_at would meet them."""
+        cache = self.meta.setdefault("_value_cache", {})
+        todo = {}
+        for h in points:
+            h = np.asarray(h, dtype=float)
+            n = np.linalg.norm(h)
+            if n < 1e-15:
+                continue
+            d = h / n
+            key = tuple(np.round(d, 12))
+            if (key not in cache and key not in todo
+                    and self._grid_value(d, tol) is None):
+                todo[key] = d
+        if todo:
+            results = self.support(np.array(list(todo.values())))
+            for key, res in zip(todo, results):
+                cache[key] = np.inf if res.divergent else res.value
 
     def value_at(self, h, tol=1e-10):
         """Degree-2 homogeneous evaluation, reusing profile directions when
@@ -287,15 +360,11 @@ class RankOneProfile:
         if n < 1e-15:
             return 0.0
         d = h / n
-        for dd, v in zip(self.directions, self.values):
-            if np.linalg.norm(dd - d) <= tol:
-                return np.inf if v is None else v * n**2
-        cache = self.meta.setdefault("_value_cache", {})
-        key = tuple(np.round(d, 12))
-        if key not in cache:
-            res = self.support(d)
-            cache[key] = np.inf if res.divergent else res.value
-        return cache[key] * n**2
+        v = self._grid_value(d, tol)
+        if v is not None:
+            return v * n**2
+        self.prefetch([h], tol)
+        return self.meta["_value_cache"][tuple(np.round(d, 12))] * n**2
 
 
 def second_order_component(model, x, z, dir_grid=None, cfg=None, check_pairs=6):
@@ -317,24 +386,26 @@ def second_order_component(model, x, z, dir_grid=None, cfg=None, check_pairs=6):
     dir_grid = np.atleast_2d(np.asarray(dir_grid, dtype=float))
     probes = attentive_probes(model, x, z, cfg) if cfg.attentive else None
 
-    values = [None] * len(dir_grid)
-    done = [False] * len(dir_grid)
+    # antipodes share one search; the grid alone decides which
+    owner = list(range(len(dir_grid)))
+    searched = []
     for i, h in enumerate(dir_grid):
-        if done[i]:
+        if owner[i] != i:
             continue
-        res = rank1_support(model, x, z, h, cfg, probes)
-        values[i] = None if res.divergent else res.value
-        done[i] = True
-        for j in range(i + 1, len(dir_grid)):   # antipode shares the value
-            if not done[j] and np.linalg.norm(dir_grid[j] + h) <= 1e-12:
-                values[j] = values[i]
-                done[j] = True
+        searched.append(i)
+        for j in range(i + 1, len(dir_grid)):
+            if owner[j] == j and np.linalg.norm(dir_grid[j] + h) <= 1e-12:
+                owner[j] = i
+    results = dict(zip(searched, rank1_supports(model, x, z, dir_grid[searched],
+                                                cfg, probes)))
+    values = [None if results[i].divergent else results[i].value
+              for i in owner]
 
     profile = RankOneProfile(
         directions=dir_grid, values=values,
         divergence_threshold=cfg.divergence_threshold,
         t_grid=np.asarray(cfg.t_grid if cfg.t_grid is not None else default_t_grid()),
-        support=lambda h: rank1_support(model, x, z, h, cfg, probes))
+        support=lambda H: rank1_supports(model, x, z, H, cfg, probes))
 
     finite = profile.finite_directions()
     if len(finite) == 0:
@@ -352,19 +423,18 @@ def second_order_component(model, x, z, dir_grid=None, cfg=None, check_pairs=6):
                             max(1, m_dirs // 2)}, reverse=True):
             for i in range(0, m_dirs - step, max(1, m_dirs // 4)):
                 pairs.append((i, i + step))
-        checked = 0
+        mids = []
         for i, j in pairs:
-            if checked >= check_pairs:
+            if len(mids) >= check_pairs:
                 break
             m = finite[i] + finite[j]
             nm = np.linalg.norm(m)
-            if nm < 1e-8:
-                continue
-            res = rank1_support(model, x, z, m / nm, cfg, probes)
-            checked += 1
-            if res.divergent:
-                raise NotASubspace(
-                    "finite-direction set is not closed under midpoints")
+            if nm >= 1e-8:
+                mids.append(m / nm)
+        if any(res.divergent
+               for res in rank1_supports(model, x, z, mids, cfg, probes)):
+            raise NotASubspace(
+                "finite-direction set is not closed under midpoints")
     frame = vu.decompose(poly, z)
     if u2.shape[1]:
         resid = u2 - frame.u_basis @ (frame.u_basis.T @ u2)
@@ -418,11 +488,12 @@ def subjet_membership(model, cand, cfg=None):
     margins = np.empty((len(cfg.radii), len(dirs)))
     for si, r in enumerate(cfg.radii):
         eta = cfg.eta_coeff * np.sqrt(r)
-        for di, d in enumerate(dirs):
-            step = r * d
-            raw = (evaluate(model, cand.x + step) - fx - float(cand.z @ step)
-                   - 0.5 * float(step @ cand.Q @ step))
-            margins[si, di] = raw + eta * r**2
+        S = r * dirs
+        # the stacked matmul runs the vector-matrix kernel of step @ Q per row
+        SQ = np.matmul(S[:, None, :], cand.Q)[:, 0, :]
+        raw = (evaluate_many(model, cand.x + S) - fx - np.vecdot(cand.z, S)
+               - 0.5 * np.vecdot(SQ, S))
+        margins[si] = raw + eta * r**2
     min_margin = float(margins.min())
     if min_margin >= 0.0:
         return MembershipResult("member", None, min_margin)
@@ -531,11 +602,13 @@ def lambda_too_large(model, lam):
     return qm is not None and qm[1] > 0.0 and qm[1] >= 1.0 / lam - 1e-12
 
 
-def moreau_envelope(model, lam, x, solver_cfg=None, search_radius=None):
-    """Infimal convolution value and prox point at x.
+def prox_points(model, lam, x, solver_cfg=None, search_radius=None):
+    """Envelope value and the prox points at x: every minimizer that
+    cluster_minimizers keeps, nearest to x first.  More than one point means
+    the prox is set-valued at x.
 
     Requires lam > 0 and, when a quadratic minorant (alpha, R) is declared,
-    R < 1/lam; the gradient of the envelope is (x - prox)/lam.
+    R < 1/lam; the value is the objective at the first prox point.
     """
     if lam <= 0.0:
         raise ValueError("lam must be positive")
@@ -559,11 +632,20 @@ def moreau_envelope(model, lam, x, solver_cfg=None, search_radius=None):
         res = minimize_branches(branches, objective, x, radius, cfg)
         reps, best = cluster_minimizers(res.points, res.values,
                                         1e-9 * (1 + abs(res.values.min())), 1e-9)
-        prox = min(reps, key=lambda p: (np.linalg.norm(p - x), tuple(p)))
-        if np.linalg.norm(prox - x) < radius * (1.0 - 1e-6):
-            return float(objective(prox[None, :])[0]), np.asarray(prox, dtype=float)
+        reps = np.array(sorted(reps, key=lambda p: (np.linalg.norm(p - x),
+                                                    tuple(p))), dtype=float)
+        if np.linalg.norm(reps[0] - x) < radius * (1.0 - 1e-6):
+            return float(objective(reps[:1])[0]), reps
         radius *= 4.0
     raise LambdaTooLarge("prox search kept hitting the search-ball boundary")
+
+
+def moreau_envelope(model, lam, x, solver_cfg=None, search_radius=None):
+    """Infimal convolution value and prox point at x (the prox point nearest
+    x when the prox is set-valued); the gradient of the envelope is
+    (x - prox)/lam."""
+    val, reps = prox_points(model, lam, x, solver_cfg, search_radius)
+    return val, reps[0]
 
 
 def moreau_model(model, lam, solver_cfg=None):
@@ -593,8 +675,9 @@ def para_convexity_check(profile, r, t_grid=(0.5, 1.0), max_dirs=8):
     built from the finite directions, after degree-2 homogeneous extension.
 
     Midpoint directions off the profile grid are re-evaluated through the
-    profile's support callable (cached), so the check stays exact rather than
-    interpolated; max_dirs caps the quadratic pair growth."""
+    profile's support callable (one batched call, then cached), so the check
+    stays exact rather than interpolated; max_dirs caps the quadratic pair
+    growth."""
     finite = profile.finite_directions()
     if len(finite) == 0:
         return 0.0
@@ -602,18 +685,19 @@ def para_convexity_check(profile, r, t_grid=(0.5, 1.0), max_dirs=8):
         stride = int(np.ceil(len(finite) / max_dirs))
         finite = finite[::stride]
     pts = [t * d for d in finite for t in t_grid]
+    triples = [(0.5 * (pts[i] + pts[j]), pts[i], pts[j])
+               for i in range(len(pts)) for j in range(i, len(pts))]
+    profile.prefetch([w for triple in triples for w in triple])
 
     def g(w):
         return profile.value_at(w) + r * float(np.dot(w, w))
 
     worst = -np.inf
-    for i in range(len(pts)):
-        for j in range(i, len(pts)):
-            m = 0.5 * (pts[i] + pts[j])
-            gm = g(m)
-            if not np.isfinite(gm):
-                gm = np.inf
-            worst = max(worst, gm - 0.5 * (g(pts[i]) + g(pts[j])))
+    for m, a, b in triples:
+        gm = g(m)
+        if not np.isfinite(gm):
+            gm = np.inf
+        worst = max(worst, gm - 0.5 * (g(a) + g(b)))
     return float(worst)
 
 
@@ -675,10 +759,10 @@ def uniform_bound_check(model, x, z, u2_basis, cfg=None):
     if k == 0:
         return 0.0
     probes = attentive_probes(model, x, z, cfg) if cfg.attentive else None
+    H = [u2 @ w / np.linalg.norm(u2 @ w)
+         for w in sphere_directions(k, 16 if k >= 2 else 2)]
     m_hat = -np.inf
-    for w in sphere_directions(k, 16 if k >= 2 else 2):
-        h = u2 @ w
-        res = rank1_support(model, x, z, h / np.linalg.norm(h), cfg, probes)
+    for res in rank1_supports(model, x, z, H, cfg, probes):
         if res.divergent:
             return np.inf
         m_hat = max(m_hat, res.value)

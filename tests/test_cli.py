@@ -292,6 +292,38 @@ def test_appendix_skips_moreau_check_when_lambda_exceeds_minorant(tmp_path):
     assert (moreau["detail"]["R"], moreau["detail"]["lambda"]) == (2.0, 0.5)
     assert checks["rank1_support_para_convex"]["status"] == "pass"
     assert checks["conjugate_hessian_duality"]["status"] == "skipped"
+    # a single smooth piece: the missing hypothesis is convexity
+    assert checks["conjugate_hessian_duality"]["detail"] == \
+        "smooth model is not convex"
+
+
+def test_appendix_skips_moreau_points_with_set_valued_prox(tmp_path):
+    """four_quadrant_max = max(0, |x2| - |x1|) is not prox-regular on the x2
+    axis: at (0, 0.3) and (0, -0.2) the prox holds (+-0.15, 0.15) and
+    (+-0.1, -0.1), so e_lambda has a ridge there.  Those two points are
+    named with their prox points; the other two still count and pass."""
+    manifest, code = run_campaign("four_quadrant_max", "appendix", tmp_path)
+    assert code == 0 and manifest["overall"] == "pass"
+    checks = {c["name"]: c for c in
+              manifest["campaigns"]["appendix"]["checks"]}
+    moreau = checks["moreau_gradient_consistency"]
+    assert moreau["status"] == "pass" and moreau["value"] <= 1e-5
+    witness = moreau["detail"]["set_valued"]
+    assert [w["x"] for w in witness] == [[0.0, 0.3], [0.0, -0.2]]
+    for w, (a, b) in zip(witness, [(0.15, 0.15), (0.1, -0.1)]):
+        prox = sorted(w["prox"])
+        np.testing.assert_allclose(prox, [[-a, b], [a, b]], atol=1e-8)
+
+
+def test_appendix_moreau_bytes_without_set_valued_prox(tmp_path):
+    """Solver twins of one prox point (a few 1e-8 apart on crossing_max) do
+    not make the prox set-valued: every point counts and no detail is
+    written."""
+    manifest, code = run_campaign("crossing_max", "appendix", tmp_path)
+    assert code == 0
+    checks = {c["name"]: c for c in
+              manifest["campaigns"]["appendix"]["checks"]}
+    assert "detail" not in checks["moreau_gradient_consistency"]
 
 
 def test_lagrangian_boundary_column_reads_the_node_solve(tmp_path):

@@ -6,6 +6,7 @@ import pytest
 from vulab import oracle, subjets as sj, vu
 from vulab.errors import (EmptyBundle, LambdaTooLarge, NotASubspace,
                           SingularHessian)
+from vulab.solvers import _offset_lattice, sphere_directions
 
 from conftest import neg_norm_squared
 
@@ -288,30 +289,170 @@ def test_uniform_bound(abs_diff_component, apq_component, abs_diff,
     assert mq == pytest.approx(10.0, abs=1e-6)
 
 
-def test_dini_second_evaluates_f_x_once(abs_plus_quad, monkeypatch):
-    """dini_second passes one f(x) into every delta2 instead of letting each
-    quotient evaluate it again."""
+# Scalar reference: the one-point Dini search and the per-direction loops
+# that the batched second-order layer replaced, kept to pin it bit for bit.
+
+def _ref_min_over_direction_ball(model, x, z, h, t, radius, refine, fx):
+    h = np.asarray(h, dtype=float)
+    scale = np.linalg.norm(h)
+    offs = _offset_lattice(len(h))
+
+    def project(u):
+        gap = u - h
+        norm = np.linalg.norm(gap)
+        if norm > radius:
+            u = h + gap * (radius / norm)
+        nu = np.linalg.norm(u)
+        return u if nu < 1e-15 else u * (scale / nu)
+
+    rad = radius
+    best_u = h
+    best = sj.delta2(model, x, z, t, h, fx)
+    for _ in range(refine + 1):
+        for o in offs[1:]:
+            u = project(best_u + rad * o)
+            val = sj.delta2(model, x, z, t, u, fx)
+            if val < best:
+                best, best_u = val, u
+        rad *= 0.3
+    return best
+
+
+def _ref_dini_second(model, x, z, h, ts, ball_radius, cfg):
+    fx = oracle.evaluate(model, x)
+    vals = np.empty(len(ts))
+    for i, t in enumerate(ts):
+        r = ball_radius if ball_radius is not None else cfg.dir_ball * t
+        vals[i] = _ref_min_over_direction_ball(model, x, z, h, t, r,
+                                               cfg.refine, fx)
+    return sj.ShellTrace(ts=np.array(ts), values=vals)
+
+
+def _ref_rank1_support(model, x, z, h, cfg, probes):
+    ts = sj.default_t_grid()
+    sites = [(x, z, ts, None)] + [
+        (xp, zp, rho * np.asarray(cfg.probe_t_fracs), cfg.probe_ball_scale * rho)
+        for xp, zp, rho in probes]
+    results = []
+    for xs, zs, t, ball in sites:
+        tp = _ref_dini_second(model, xs, zs, h, t, ball, cfg)
+        tm = _ref_dini_second(model, xs, zs, -h, t, ball, cfg)
+        results.append(sj._symmetric_estimate(tp, tm, cfg))
+    if any(r[0] for r in results):
+        return None, [r[2] for r in results]
+    return max(r[1] for r in results), [r[2] for r in results]
+
+
+def _ref_min_margin(model, cand, cfg):
+    fx = oracle.evaluate(model, cand.x)
+    dirs = sphere_directions(len(cand.x), cfg.n_dirs)
+    margins = np.empty((len(cfg.radii), len(dirs)))
+    for si, r in enumerate(cfg.radii):
+        eta = cfg.eta_coeff * np.sqrt(r)
+        for di, d in enumerate(dirs):
+            step = r * d
+            raw = (oracle.evaluate(model, cand.x + step) - fx
+                   - float(cand.z @ step) - 0.5 * float(step @ cand.Q @ step))
+            margins[si, di] = raw + eta * r**2
+    return float(margins.min())
+
+
+@pytest.mark.parametrize("name", ["abs_diff", "four_quadrant_max",
+                                  "crossing_max", "abs_plus_quad",
+                                  "huber_source_abs", "quadratic(I3)"])
+def test_second_order_layer_matches_scalar_reference(name):
+    """The lockstep Dini searches reproduce the one-point search bit for
+    bit: every rank-1 value of second_order_component, every ShellTrace, and
+    the subjet membership margins."""
+    model = oracle.builtin(name)
+    x = model.meta["default_base_point"]
+    z = np.zeros(model.dim)
+    cfg = sj.RankOneConfig()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        _, profile = sj.second_order_component(model, x, z, cfg=cfg)
+    probes = sj.attentive_probes(model, x, z, cfg)
+    grid = profile.directions
+    searched = [i for i in range(len(grid))
+                if not any(np.linalg.norm(grid[j] + grid[i]) <= 1e-12
+                           for j in range(i))]
+    batched = sj.rank1_supports(model, x, z, grid[searched], cfg, probes)
+    for i, res in zip(searched, batched):
+        value, shells = _ref_rank1_support(model, x, z, grid[i], cfg, probes)
+        assert profile.values[i] == value
+        assert (None if res.divergent else res.value) == value
+        assert len(res.shells) == len(shells)
+        for got, ref in zip(res.shells, shells):
+            for g, r in zip(got, ref):
+                np.testing.assert_array_equal(g.ts, r.ts)
+                np.testing.assert_array_equal(g.values, r.values)
+    mcfg = sj.MembershipConfig()
+    for Q in (-10.0 * np.eye(model.dim), np.eye(model.dim)):
+        cand = sj.JetCandidate(x=x, z=z, Q=Q)
+        got = sj.subjet_membership(model, cand, mcfg).min_margin
+        assert repr(got) == repr(_ref_min_margin(model, cand, mcfg))
+
+
+@pytest.mark.parametrize("name", ["abs_diff", "quadratic(I2)"])
+def test_second_order_component_batches_its_searches(name, monkeypatch):
+    """One 2-D second_order_component makes at most two batched search
+    calls (the profile directions, then the closure midpoints), each with
+    one evaluate_many for f at the sites, one for the start directions and
+    one per offset of each of the three refinement rounds."""
+    model = oracle.builtin(name)
+    evaluate_many = sj.evaluate_many
+    calls = []
+
+    def counted(model, X):
+        calls.append(len(X))
+        return evaluate_many(model, X)
+
+    monkeypatch.setattr(sj, "evaluate_many", counted)
+    sj.second_order_component(model, np.zeros(2), np.zeros(2))
+    assert 0 < len(calls) <= 2 * (2 + 3 * 8)
+
+
+@pytest.mark.parametrize("name,batches", [("quadratic(diag(1,10))", 1),
+                                          ("abs_plus_quad", 0)])
+def test_appendix_checks_batch_their_support_calls(name, batches):
+    """para_convexity_check fills the profile cache with one batched support
+    call (none when every midpoint lies on the profile grid, as on the
+    finite line of abs_plus_quad) and uniform_bound_check makes one; both
+    equal the values of one direction at a time."""
+    model = oracle.builtin(name)
+    x, z = np.zeros(2), np.zeros(2)
+    u2, profile = sj.second_order_component(model, x, z)
+    _, single = sj.second_order_component(model, x, z)
+    support = profile.support
+    calls = []
+
+    def counted(H):
+        calls.append(len(H))
+        return support(H)
+
+    profile.support = counted
+    single.support = lambda H: [support(h[None, :])[0] for h in H]
+    assert (repr(sj.para_convexity_check(profile, 0.0))
+            == repr(sj.para_convexity_check(single, 0.0)))
+    assert len(calls) == batches and all(c > 1 for c in calls)
+    ref = max(sj.rank1_support(model, x, z, h / np.linalg.norm(h)).value
+              for h in (u2 @ w for w in sphere_directions(u2.shape[1], 16)))
+    assert repr(sj.uniform_bound_check(model, x, z, u2)) == repr(ref)
+
+
+def test_dini_second_keeps_shell_radii(abs_plus_quad):
+    """A fixed ball_radius and the shrinking dir_ball * t radius both give
+    the one-point search path, and a given f(x) does not change a
+    quotient."""
     x = np.array([0.2, -0.1])
     z = oracle.subdifferential_polytope(abs_plus_quad, x).generators[0]
     ts = sj.default_t_grid()
-    expect = sj.dini_second(abs_plus_quad, x, z, DIAG, t_grid=ts)
-    evaluate, delta2 = sj.evaluate, sj.delta2
-    counts = {"evaluate": 0, "delta2": 0}
-
-    def counted_evaluate(model, p):
-        counts["evaluate"] += 1
-        return evaluate(model, p)
-
-    def counted_delta2(*args, **kwargs):
-        counts["delta2"] += 1
-        return delta2(*args, **kwargs)
-
-    monkeypatch.setattr(sj, "evaluate", counted_evaluate)
-    monkeypatch.setattr(sj, "delta2", counted_delta2)
-    got = sj.dini_second(abs_plus_quad, x, z, DIAG, t_grid=ts)
-    assert counts["delta2"] > len(ts)
-    assert counts["evaluate"] == counts["delta2"] + 1
-    np.testing.assert_array_equal(got.values, expect.values)
+    cfg = sj.RankOneConfig()
+    for ball in (None, 0.05):
+        got = sj.dini_second(abs_plus_quad, x, z, ANTI, t_grid=ts,
+                             ball_radius=ball)
+        ref = _ref_dini_second(abs_plus_quad, x, z, ANTI, ts, ball, cfg)
+        np.testing.assert_array_equal(got.values, ref.values)
     fx = oracle.evaluate(abs_plus_quad, x)
     for t in ts:
         assert (sj.delta2(abs_plus_quad, x, z, t, ANTI, fx)
