@@ -15,17 +15,14 @@ from scipy.optimize import linprog, minimize
 from .errors import SolverBudgetExceeded
 
 
-@dataclass
-class SolverConfig:
-    max_iters: int = 500
-    starts_per_axis: int = 3
-    ftol: float = 1e-14
-    polish: bool = True
-    polish_step: float = 1e-6
-    polish_floor: float = 1e-15
-
-
-DEFAULT_SOLVER = SolverConfig()
+# SLSQP iteration budget and tolerance of every epigraph solve (Nelder-Mead
+# gets 40 times the budget), multistart lattice points per axis, and the
+# first and last pattern_polish step after each solve.
+MAX_ITERS = 500
+FTOL = 1e-14
+STARTS_PER_AXIS = 3
+POLISH_STEP = 1e-6
+POLISH_FLOOR = 1e-15
 
 
 def cube_lattice(dim, radius, per_axis):
@@ -133,7 +130,7 @@ def pattern_polish(fun, x0, center, radius, step, floor):
     return x, fx, False
 
 
-def _epigraph_solve(max_pieces, sum_pieces, center, radius, x0, cfg):
+def _epigraph_solve(max_pieces, sum_pieces, center, radius, x0):
     """min  sum_pieces(x) + max(max_pieces)(x)  over ||x - center|| <= radius.
 
     Solved as the smooth epigraph program in (x, t) with SLSQP.
@@ -162,7 +159,7 @@ def _epigraph_solve(max_pieces, sum_pieces, center, radius, x0, cfg):
             "jac": lambda x: -2.0 * (x - center),
         }]
         res = minimize(obj, x0, jac=jac, method="SLSQP", constraints=cons,
-                       options={"maxiter": cfg.max_iters, "ftol": cfg.ftol})
+                       options={"maxiter": MAX_ITERS, "ftol": FTOL})
         return np.asarray(res.x, dtype=float), res.status in (0,) or res.success, res.nit
 
     def obj(y):
@@ -186,11 +183,11 @@ def _epigraph_solve(max_pieces, sum_pieces, center, radius, x0, cfg):
     t0 = max(p.value(x0) for p in max_pieces)
     y0 = np.append(x0, t0 + 1e-6)
     res = minimize(obj, y0, jac=jac, method="SLSQP", constraints=cons,
-                   options={"maxiter": cfg.max_iters, "ftol": cfg.ftol})
+                   options={"maxiter": MAX_ITERS, "ftol": FTOL})
     return np.asarray(res.x[:dim], dtype=float), res.success, res.nit
 
 
-def _nelder_mead(fun, x0, center, radius, cfg):
+def _nelder_mead(fun, x0, center, radius):
     """Unstructured fallback: Nelder-Mead on the batched `fun`, one row at a
     time, with points outside the ball projected onto it."""
     def project(x):
@@ -199,7 +196,7 @@ def _nelder_mead(fun, x0, center, radius, cfg):
 
     res = minimize(lambda x: fun(project(x)[None, :])[0], x0,
                    method="Nelder-Mead",
-                   options={"maxiter": 40 * cfg.max_iters, "xatol": 1e-12,
+                   options={"maxiter": 40 * MAX_ITERS, "xatol": 1e-12,
                             "fatol": 1e-14})
     return project(np.asarray(res.x, dtype=float))
 
@@ -211,7 +208,7 @@ class BallMinimizeResult:
     approximate: bool = False
 
 
-def minimize_branches(branches, objective, center, radius, cfg=None, starts=None):
+def minimize_branches(branches, objective, center, radius):
     """Multistart minimization of a piecewise-smooth objective over a closed ball.
 
     `branches` is a list of (max_pieces, sum_pieces) descriptions covering the
@@ -221,37 +218,29 @@ def minimize_branches(branches, objective, center, radius, cfg=None, starts=None
     that hits its iteration budget or a polish that hits its move cap marks
     the result approximate.
     """
-    cfg = cfg or DEFAULT_SOLVER
     dim = len(center)
     if dim == 0:
         z = np.zeros((1, 0))
         return BallMinimizeResult(points=z, values=objective(z))
-    if starts is None:
-        starts = center + ball_lattice(dim, 0.9 * radius, cfg.starts_per_axis)
     pts, vals = [], []
     approximate = False
-    for x0 in starts:
-        x0 = np.asarray(x0, float)
+    for x0 in center + ball_lattice(dim, 0.9 * radius, STARTS_PER_AXIS):
         if branches:
             found = []
             for max_pieces, sum_pieces in branches:
                 x, ok, nit = _epigraph_solve(max_pieces, sum_pieces, center,
-                                             radius, x0, cfg)
-                if not ok and nit >= cfg.max_iters:
+                                             radius, x0)
+                if not ok and nit >= MAX_ITERS:
                     approximate = True
                     warnings.warn("inner solver hit its iteration budget",
                                   SolverBudgetExceeded)
                 found.append(x)
         else:
-            found = [_nelder_mead(objective, x0, center, radius, cfg)]
+            found = [_nelder_mead(objective, x0, center, radius)]
         for x in found:
-            if cfg.polish:
-                x, fx, capped = pattern_polish(objective, x, center, radius,
-                                               cfg.polish_step,
-                                               cfg.polish_floor)
-                approximate = approximate or capped
-            else:
-                fx = objective(x[None, :])[0]
+            x, fx, capped = pattern_polish(objective, x, center, radius,
+                                           POLISH_STEP, POLISH_FLOOR)
+            approximate = approximate or capped
             pts.append(x)
             vals.append(fx)
     return BallMinimizeResult(points=np.array(pts), values=np.array(vals),

@@ -18,7 +18,7 @@ from .errors import (CapabilityMissing, EmptyBundle, LambdaTooLarge,
                      NotASubspace, SingularHessian)
 from .oracle import (QuadraticPiece, FunctionModel, Flags, active_set, evaluate,
                      evaluate_many, subdifferential_polytope)
-from .solvers import (DEFAULT_SOLVER, cluster_minimizers, minimize_branches,
+from .solvers import (cluster_minimizers, minimize_branches,
                       sphere_directions, _offset_lattice)
 from . import vu
 
@@ -68,7 +68,10 @@ def fd_hessian_from_gradient(grad, x, step=1e-4):
 
 def delta2(model, x, z, t, u, fx=None):
     """Second-order difference quotient 2[f(x+tu) - f(x) - t<z,u>]/t^2;
-    fx, when given, is f(x) and saves its evaluation."""
+    fx, when given, is f(x) and saves its evaluation.
+
+    The campaigns compute this quotient in batch (_shell_minima); this scalar
+    form is the reference the tests compare that batch against."""
     if t == 0.0:
         raise ValueError("t must be nonzero")
     x = np.asarray(x, dtype=float)
@@ -602,7 +605,7 @@ def lambda_too_large(model, lam):
     return qm is not None and qm[1] > 0.0 and qm[1] >= 1.0 / lam - 1e-12
 
 
-def prox_points(model, lam, x, solver_cfg=None, search_radius=None):
+def prox_points(model, lam, x):
     """Envelope value and the prox points at x: every minimizer that
     cluster_minimizers keeps, nearest to x first.  More than one point means
     the prox is set-valued at x.
@@ -616,8 +619,7 @@ def prox_points(model, lam, x, solver_cfg=None, search_radius=None):
     if lambda_too_large(model, lam):
         R = model.flags.quadratic_minorant[1]
         raise LambdaTooLarge(f"quadratic minorant R={R} requires lam < {1/R}")
-    cfg = solver_cfg or DEFAULT_SOLVER
-    radius = search_radius or 4.0 * (1.0 + np.linalg.norm(x) + lam)
+    radius = 4.0 * (1.0 + np.linalg.norm(x) + lam)
     prox_piece = QuadraticPiece(np.eye(model.dim) / lam, -x / lam,
                                 float(x @ x) / (2.0 * lam))
     branches = model.solver_branches()
@@ -629,7 +631,7 @@ def prox_points(model, lam, x, solver_cfg=None, search_radius=None):
                 + np.sum((x - U) ** 2, axis=1) / (2.0 * lam))
 
     for attempt in range(3):
-        res = minimize_branches(branches, objective, x, radius, cfg)
+        res = minimize_branches(branches, objective, x, radius)
         reps, best = cluster_minimizers(res.points, res.values,
                                         1e-9 * (1 + abs(res.values.min())), 1e-9)
         reps = np.array(sorted(reps, key=lambda p: (np.linalg.norm(p - x),
@@ -640,21 +642,21 @@ def prox_points(model, lam, x, solver_cfg=None, search_radius=None):
     raise LambdaTooLarge("prox search kept hitting the search-ball boundary")
 
 
-def moreau_envelope(model, lam, x, solver_cfg=None, search_radius=None):
+def moreau_envelope(model, lam, x):
     """Infimal convolution value and prox point at x (the prox point nearest
     x when the prox is set-valued); the gradient of the envelope is
     (x - prox)/lam."""
-    val, reps = prox_points(model, lam, x, solver_cfg, search_radius)
+    val, reps = prox_points(model, lam, x)
     return val, reps[0]
 
 
-def moreau_model(model, lam, solver_cfg=None):
+def moreau_model(model, lam):
     """The envelope as a first-class model (C^{1,1} by construction)."""
     def value_fn(x):
-        return moreau_envelope(model, lam, x, solver_cfg)[0]
+        return moreau_envelope(model, lam, x)[0]
 
     def gradient_fn(x):
-        val, prox = moreau_envelope(model, lam, x, solver_cfg)
+        val, prox = moreau_envelope(model, lam, x)
         return (np.asarray(x, dtype=float) - prox) / lam
 
     out = FunctionModel(

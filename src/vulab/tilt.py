@@ -8,11 +8,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .oracle import (AffinePiece, evaluate, evaluate_many,
-                     subdifferential_polytope)
-from .solvers import (DEFAULT_SOLVER, ball_lattice, cluster_minimizers,
-                      hull_point_candidates, in_hull, max_difference_quotient,
-                      minimize_branches, pair_differences)
+from .oracle import AffinePiece, evaluate, subdifferential_polytope
+from .solvers import (ball_lattice, hull_point_candidates, in_hull,
+                      max_difference_quotient, pair_differences)
+from .ulagrangian import argmin_on_ball
 
 
 @dataclass
@@ -38,40 +37,23 @@ class StabilityVerdict:
     probes: list = field(default_factory=list)
 
 
-def _tilted_branches(model, z):
-    branches = model.solver_branches()
-    if branches is None:
-        return None
-    tilt_piece = AffinePiece(-np.asarray(z, dtype=float))
-    return [(max_pieces, sum_pieces + [tilt_piece])
-            for max_pieces, sum_pieces in branches]
-
-
-def tilt_map(model, base_point, eps, z, solver_cfg=None):
+def tilt_map(model, base_point, eps, z):
     """argmin of f(x) - <x, z> over the closed eps-ball around base_point.
 
-    Deterministic multistart + polish; all reported minimizers attain the best
-    value within cluster_tol and are pairwise sep_tol apart.
+    Solved by ulagrangian.argmin_on_ball in coordinates v = x - base_point;
+    all reported minimizers attain the best value within cluster_tol and are
+    pairwise sep_tol apart.
     """
     base_point = np.asarray(base_point, dtype=float)
     z = np.asarray(z, dtype=float)
-    cfg = solver_cfg or DEFAULT_SOLVER
-
-    def objective(X):
-        return evaluate_many(model, X) - np.vecdot(z, X)
-
-    res = minimize_branches(_tilted_branches(model, z), objective, base_point,
-                            eps, cfg)
-    cluster_tol = 1e-9 * (1.0 + abs(float(np.min(res.values))))
-    sep_tol = 1e-6 * eps
-    reps, best = cluster_minimizers(res.points, res.values, cluster_tol, sep_tol)
-    return TiltProbeResult(z=z, minimizers=reps, value=best,
-                           single_valued=len(reps) == 1,
-                           approximate=res.approximate)
+    V, best, approximate = argmin_on_ball(model, base_point, np.eye(model.dim),
+                                          AffinePiece(-z), eps)
+    return TiltProbeResult(z=z, minimizers=base_point + V,
+                           value=best - float(z @ base_point),
+                           single_valued=len(V) == 1, approximate=approximate)
 
 
-def tilt_stability_test(model, base_point, eps, tilt_radius=None, grid_size=11,
-                        solver_cfg=None):
+def tilt_stability_test(model, base_point, eps, tilt_radius=None, grid_size=11):
     """Probe the tilt map on a deterministic grid of tilts around zero.
 
     Requires 0 in the subdifferential hull at base_point.  The Lipschitz
@@ -83,7 +65,7 @@ def tilt_stability_test(model, base_point, eps, tilt_radius=None, grid_size=11,
     if not in_hull(poly.generators, np.zeros(model.dim)):
         raise ValueError("0 is not in the subdifferential hull at the base point")
     tilts = ball_lattice(model.dim, tilt_radius, grid_size)
-    probes = [tilt_map(model, base_point, eps, z, solver_cfg) for z in tilts]
+    probes = [tilt_map(model, base_point, eps, z) for z in tilts]
     approximate = any(p.approximate for p in probes)
 
     failing = [p.z for p in probes if not p.single_valued]

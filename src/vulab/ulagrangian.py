@@ -11,12 +11,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BoundaryActive, InconsistentGradient
+from .errors import BoundaryActive, InconsistentGradient, VULabError
 from .oracle import (AffinePiece, evaluate, evaluate_many,
                      subdifferential_polytope)
-from .solvers import (DEFAULT_SOLVER, cluster_minimizers, hull_distance,
-                      line_minimize, max_difference_quotient,
-                      minimize_branches, sphere_directions)
+from .solvers import (cluster_minimizers, hull_distance, line_minimize,
+                      max_difference_quotient, minimize_branches,
+                      sphere_directions)
 from .vu import principal_angle
 
 
@@ -38,21 +38,20 @@ class ULagContext:
     frame: object
     uprime_basis: np.ndarray = None   # defaults to the frame U basis
     eps_v: float = None               # inner V'-ball radius, defaults frame.eps
-    solver_cfg: object = None
     _cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if self.uprime_basis is None:
             self.uprime_basis = self.frame.u_basis
         self.uprime_basis = np.atleast_2d(np.asarray(self.uprime_basis, float))
-        if self.uprime_basis.size and self.frame.dim_u:
-            assert principal_angle(self.uprime_basis, self.frame.u_basis) <= 1e-10 \
-                or self._contained_in_u()
+        if (self.uprime_basis.size and self.frame.dim_u
+                and principal_angle(self.uprime_basis, self.frame.u_basis) > 1e-10
+                and not self._contained_in_u()):
+            raise VULabError("U' basis is not contained in the U-space of the frame")
         if self.eps_v is None:
             self.eps_v = self.frame.eps
         self.vprime_basis = _complement(self.uprime_basis, self.frame.dim)
         self.anchor_vprime = self.vprime_basis.T @ self.frame.anchor
-        self.solver_cfg = self.solver_cfg or DEFAULT_SOLVER
 
     def _contained_in_u(self):
         u = self.frame.u_basis
@@ -76,64 +75,67 @@ class ULagContext:
         return out
 
 
-def _anchored_objective(ctx, u, anchor_v):
-    """(base, objective) at u: base = x_bar + U' u, and the batched objective
-    V -> f(base + M v) - <anchor_v, v> over the rows v of V, with M the V'
-    basis.  The stacked matmul rounds each M v like the matrix-vector product,
-    and every inner solve and value query goes through this one float path."""
-    u = np.asarray(u, dtype=float)
-    base = ctx.frame.base_point + (ctx.uprime_basis @ u if ctx.dim_uprime else 0.0)
-    M = ctx.vprime_basis
-
+def ball_objective(model, base, M, piece):
+    """The batched objective V -> f(base + M v) + piece(v) over the rows v of
+    V.  The stacked matmul rounds each M v like the matrix-vector product, and
+    every ball solve and value query goes through this one float path."""
     def objective(V):
         X = base + np.matmul(M, V[:, :, None])[:, :, 0]
-        return evaluate_many(ctx.model, X) - np.vecdot(anchor_v, V)
-    return base, objective
+        return evaluate_many(model, X) + piece.values(V)
+    return objective
 
 
-def _exact_on_line(ctx, restricted):
-    """Whether the inner problem is one a closed form solves: a line (dim
-    V' = 1) on which every restricted piece of a structured model is a scalar
-    quadratic or affine.  Custom branch covers only describe their model's
-    value oracle, so they keep the multistart."""
-    return (ctx.dim_vprime == 1 and ctx.model.kind != "custom"
+def argmin_on_ball(model, base, M, piece, radius):
+    """Minimizers of v -> f(base + M v) + piece(v) over ||v|| <= radius.
+
+    The model's branch cover is restricted to the slice base + span(M) and
+    `piece` is added to every branch.  When M has one column and every
+    restricted piece of a structured model is a scalar quadratic or affine,
+    every candidate minimizer is known in closed form
+    (solvers.line_minimize); custom branch covers only describe their
+    model's value oracle, so they and all other problems take the SLSQP
+    multistart with polish of solvers.minimize_branches.
+
+    Returns (points, best, approximate): the near-optimal points, pairwise
+    1e-6 * radius apart, smallest norm first; the best value; and whether a
+    solver hit its budget.
+    """
+    objective = ball_objective(model, base, M, piece)
+    branches = model.solver_branches()
+    if branches is not None:
+        branches = [([p.restrict(base, M) for p in mp],
+                     [p.restrict(base, M) for p in sp] + [piece])
+                    for mp, sp in branches]
+    if (M.shape[1] == 1 and model.kind != "custom"
             and all(p.kind in ("quadratic", "affine")
-                    for mp, sp in restricted for p in mp + sp))
+                    for mp, sp in branches for p in mp + sp)):
+        res = line_minimize(branches, objective, radius)
+    else:
+        res = minimize_branches(branches, objective, np.zeros(M.shape[1]),
+                                radius)
+    cluster_tol = 1e-9 * (1.0 + abs(float(res.values.min())))
+    points, best = cluster_minimizers(res.points, res.values, cluster_tol,
+                                      1e-6 * radius)
+    return points, best, res.approximate
+
+
+def _slice_base(ctx, u):
+    """x_bar + U' u, the point the V'-ball of the inner problem sits on."""
+    u = np.asarray(u, dtype=float)
+    return ctx.frame.base_point + (ctx.uprime_basis @ u if ctx.dim_uprime else 0.0)
 
 
 def _inner_solve(ctx, u, anchor_v=None):
-    """Minimize v -> f(base + u + v) - <anchor_V', v> over the V'-ball.
-
-    When dim V' = 1 and the pieces are quadratic or affine, every candidate
-    minimizer is known in closed form (solvers.line_minimize); otherwise the
-    SLSQP multistart with polish of solvers.minimize_branches runs.  Returns
-    (v, value, boundary_active); v tie-broken by smallest norm then
-    lexicographic order.
+    """Minimize v -> f(base + u + v) - <anchor_V', v> over the V'-ball by
+    argmin_on_ball.  Returns (v, value, boundary_active); v tie-broken by
+    smallest norm then lexicographic order.
     """
     anchor_v = ctx.anchor_vprime if anchor_v is None else np.asarray(anchor_v, float)
-    base, objective = _anchored_objective(ctx, u, anchor_v)
+    base = _slice_base(ctx, u)
     if ctx.dim_vprime == 0:
         return np.zeros(0), evaluate(ctx.model, base), False
-
-    M = ctx.vprime_basis
-    branches = ctx.model.solver_branches()
-    if branches is not None:
-        tilt = AffinePiece(-anchor_v)
-        restricted = [([p.restrict(base, M) for p in mp],
-                       [p.restrict(base, M) for p in sp] + [tilt])
-                      for mp, sp in branches]
-    else:
-        restricted = None
-
-    if _exact_on_line(ctx, restricted):
-        res = line_minimize(restricted, objective, ctx.eps_v)
-    else:
-        res = minimize_branches(restricted, objective,
-                                np.zeros(ctx.dim_vprime), ctx.eps_v,
-                                ctx.solver_cfg)
-    cluster_tol = 1e-9 * (1.0 + abs(float(res.values.min())))
-    reps, best = cluster_minimizers(res.points, res.values, cluster_tol,
-                                    1e-6 * ctx.eps_v)
+    reps, best, _ = argmin_on_ball(ctx.model, base, ctx.vprime_basis,
+                                   AffinePiece(-anchor_v), ctx.eps_v)
     v = reps[0]
     boundary = bool(np.linalg.norm(v) >= ctx.eps_v * (1.0 - 1e-9))
     return v, best, boundary
@@ -142,9 +144,11 @@ def _inner_solve(ctx, u, anchor_v=None):
 def _anchored_value(ctx, u, v):
     """f(base + u + v) - <anchor_V', v> through the objective of the inner
     solve, so every value query is bit-identical to the solve."""
-    base, objective = _anchored_objective(ctx, u, ctx.anchor_vprime)
+    base = _slice_base(ctx, u)
     if ctx.dim_vprime == 0:
         return evaluate(ctx.model, base)
+    objective = ball_objective(ctx.model, base, ctx.vprime_basis,
+                               AffinePiece(-ctx.anchor_vprime))
     return float(objective(np.asarray(v, dtype=float)[None, :])[0])
 
 

@@ -279,6 +279,38 @@ def test_campaign_error_keeps_other_campaigns(tmp_path):
     assert (out / "appendix.json").exists()
 
 
+def tilted_abs_problem():
+    """f = |a.x| with a = (-sin 0.01 deg, cos 0.01 deg): U is the line a-perp,
+    which the second-order component misses by a residual of about 1.7e-4."""
+    angle = np.deg2rad(0.01)
+    a = [-float(np.sin(angle)), float(np.cos(angle))]
+    return {"dim": 2, "kind": "max_of_smooth", "name": "tilted_abs",
+            "pieces": [{"type": "affine", "a": a},
+                       {"type": "affine", "a": [-a[0], -a[1]]}],
+            "flags": {"locally_lipschitz": True, "convex": True,
+                      "quadratic_minorant": [0.0, 0.0]}}
+
+
+def test_uprime_outside_u_fails_the_campaign(tmp_path):
+    """A U' basis that is not contained in U raises a VULabError, so the
+    manifold campaign fails on campaign_completed, the subjet campaign keeps
+    its report and the run exits 1 instead of crashing."""
+    problem = tmp_path / "tilted_abs.json"
+    problem.write_text(json.dumps(tilted_abs_problem()))
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        manifest, code = cli.run(cli.ExperimentConfig(
+            problem=str(problem), campaign=["subjet", "manifold"],
+            output_dir=str(out)))
+    assert code == 1 and manifest["overall"] == "fail"
+    check, = manifest["campaigns"]["manifold"]["checks"]
+    assert check["name"] == "campaign_completed" and check["status"] == "fail"
+    assert check["detail"]["error"] == "VULabError"
+    for name in ("manifest.json", "subjet.json", "manifold.json"):
+        assert (out / name).exists()
+
+
 def test_appendix_skips_moreau_check_when_lambda_exceeds_minorant(tmp_path):
     """quadratic(-I) declares the minorant R = 2, so lambda = 0.5 has no
     Moreau envelope: that check is skipped with R and lambda, and the other

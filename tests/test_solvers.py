@@ -134,10 +134,6 @@ def test_minimize_branches_records_polish_values(crossing):
                                     center, 0.3)
     assert not res.approximate
     assert_bits_equal(res.values, batched(res.points))
-    unpolished = solvers.minimize_branches(
-        crossing.solver_branches(), batched, center, 0.3,
-        solvers.SolverConfig(polish=False))
-    assert_bits_equal(unpolished.values, batched(unpolished.points))
 
 
 def test_minimize_branches_nelder_mead_fallback(four_quadrant):

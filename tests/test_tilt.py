@@ -3,10 +3,9 @@ import warnings
 import numpy as np
 import pytest
 
-from vulab import (envelope, manifold, oracle, subjets, tilt, ulagrangian,
-                   vu)
+from vulab import (envelope, manifold, oracle, solvers, subjets, tilt,
+                   ulagrangian, vu)
 from vulab.errors import SolverBudgetExceeded
-from vulab.solvers import SolverConfig
 
 from conftest import neg_norm_squared
 
@@ -33,6 +32,54 @@ def test_tilt_map_quadratic():
     res = tilt.tilt_map(m, np.zeros(2), 1.0, np.array([0.1, 0.2]))
     assert res.single_valued
     assert np.allclose(res.minimizer, [0.1, 0.2], atol=1e-9)
+
+
+def reference_tilt_map(model, base_point, eps, z):
+    """Reference: the tilt map in absolute coordinates, with the model's own
+    branch cover plus the tilt piece and the objective f(X) - z.X, centred at
+    base_point."""
+    tilt_piece = oracle.AffinePiece(-z)
+    branches = model.solver_branches()
+    if branches is not None:
+        branches = [(mp, sp + [tilt_piece]) for mp, sp in branches]
+
+    def objective(X):
+        return oracle.evaluate_many(model, X) - np.vecdot(z, X)
+
+    res = solvers.minimize_branches(branches, objective, base_point, eps)
+    reps, best = solvers.cluster_minimizers(
+        res.points, res.values, 1e-9 * (1.0 + abs(float(res.values.min()))),
+        1e-6 * eps)
+    return reps, best, res.approximate
+
+
+@pytest.mark.filterwarnings("ignore::vulab.errors.SolverBudgetExceeded")
+def test_tilt_map_matches_absolute_reference(abs_diff, abs_plus_quad,
+                                             four_quadrant, crossing):
+    """The ball solve in coordinates relative to the base point reproduces
+    the absolute-coordinate tilt map bit for bit where the base point is the
+    origin, and within 1e-8 on crossing_max, whose base point is not.  The
+    tilted four_quadrant_max probes hit the polish move cap on both sides,
+    so their approximate flags are compared too."""
+    tilts = [np.zeros(2), np.array([0.03, -0.02]), np.array([-0.05, 0.05])]
+    for model in (abs_diff, abs_plus_quad, oracle.builtin("quadratic(I)"),
+                  four_quadrant):
+        for z in tilts:
+            res = tilt.tilt_map(model, np.zeros(2), 1.0, z)
+            reps, best, approximate = reference_tilt_map(model, np.zeros(2),
+                                                         1.0, z)
+            assert repr(res.minimizers.tolist()) == repr(reps.tolist())
+            assert repr(res.value) == repr(best)
+            assert res.approximate == approximate
+    base = crossing.meta["default_base_point"]
+    for z in tilts:
+        res = tilt.tilt_map(crossing, base, 0.3, 0.1 * z)
+        reps, best, approximate = reference_tilt_map(crossing, base, 0.3,
+                                                     0.1 * z)
+        assert res.minimizers.shape == reps.shape
+        assert np.max(np.abs(res.minimizers - reps)) <= 1e-8
+        assert abs(res.value - best) <= 1e-8
+        assert res.approximate == approximate
 
 
 def test_tilt_map_abs_diff_flat(abs_diff):
@@ -250,13 +297,13 @@ def test_hessian_criterion_matches_order2(abs_plus_quad):
     assert abs(lam_min - 2.0 * beta) <= 0.2 * lam_min
 
 
-def test_solver_budget_flagged(abs_plus_quad):
-    tiny = SolverConfig(max_iters=1, polish=False)
+def test_solver_budget_flagged(abs_plus_quad, monkeypatch):
+    monkeypatch.setattr(solvers, "MAX_ITERS", 1)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SolverBudgetExceeded)
         with pytest.warns(SolverBudgetExceeded):
             res = tilt.tilt_map(abs_plus_quad, np.zeros(2), 1.0,
-                                np.array([0.3, -0.2]), solver_cfg=tiny)
+                                np.array([0.3, -0.2]))
     assert res.approximate
     assert res.minimizers.shape[0] >= 1
 

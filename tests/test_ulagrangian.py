@@ -242,8 +242,9 @@ def test_exact_selection_matches_closed_form(tmp_path):
 
 def test_line_path_makes_no_multistart(apq_ctx, crossing_ctx, four_quadrant,
                                        monkeypatch):
-    """For dim V' = 1 with quadratic and affine pieces the inner solve calls
-    neither minimize_branches, SLSQP nor pattern_polish; four_quadrant_max
+    """For dim V' = 1 with quadratic and affine pieces the inner solve, and
+    the 1-D tilt map of huber_source_abs, call neither minimize_branches,
+    SLSQP nor pattern_polish; four_quadrant_max
     (dim V' = 2, custom branch covers) still takes the multistart."""
     multistarts, slsqp, polish = [], [], []
     monkeypatch.setattr(ug, "minimize_branches",
@@ -257,6 +258,9 @@ def test_line_path_makes_no_multistart(apq_ctx, crossing_ctx, four_quadrant,
         assert ctx.dim_vprime == 1
         for t in np.linspace(-0.1, 0.1, 5):
             ug.l_value(ctx, np.array([t] * ctx.dim_uprime))
+    for z in (-0.1, 0.0, 0.05):
+        res = tilt.tilt_map(huber.model, np.zeros(1), 1.0, np.array([z]))
+        assert res.minimizers.tolist() == [[0.0]]
     assert not (multistarts or slsqp or polish)
     ctx = zero_anchor_ctx(four_quadrant, 1.0)
     assert ctx.dim_vprime == 2
@@ -264,7 +268,7 @@ def test_line_path_makes_no_multistart(apq_ctx, crossing_ctx, four_quadrant,
     assert len(multistarts) == 1 and slsqp and polish
 
 
-def test_anchored_objective_matches_scalar_form(four_quadrant):
+def test_ball_objective_matches_scalar_form(four_quadrant):
     """The stacked matmul of the batched objective rounds like M @ v, so
     values equal the scalar form bit for bit, also for oblique 2-D and 3-D
     V' bases."""
@@ -277,7 +281,9 @@ def test_anchored_objective_matches_scalar_form(four_quadrant):
         for _ in range(20):
             u = rng.uniform(-0.3, 0.3, size=ctx.dim_uprime)
             V = rng.uniform(-0.5, 0.5, size=(64, k))
-            base, objective = ug._anchored_objective(ctx, u, anchor)
+            base = ctx.frame.base_point + ctx.uprime_basis @ u
+            objective = ug.ball_objective(model, base, ctx.vprime_basis,
+                                          oracle.AffinePiece(-anchor))
             scalar = [oracle.evaluate(model, base + ctx.vprime_basis @ v)
                       - float(anchor @ v) for v in V]
             assert [repr(float(a)) for a in objective(V)] == \
