@@ -198,12 +198,12 @@ def conjugate_at(gf, zs):
 # ---------------------------------------------------------------------------
 # model-facing checks
 
-def anchored_grid(model, frame, eps=None, resolution=201):
-    """h(w) = f(base + w) on the product ball, as a grid in frame coordinates."""
+def anchored_grid(model, frame, resolution=201):
+    """h(w) = f(base + w) on the product frame.eps-ball, as a grid in frame
+    coordinates."""
     from .oracle import evaluate_many
-    eps = eps if eps is not None else frame.eps
     d = frame.dim
-    box = np.tile([-eps, eps], (d, 1))
+    box = np.tile([-frame.eps, frame.eps], (d, 1))
     k = frame.dim_u
 
     def h_many(coords):
@@ -219,8 +219,7 @@ def anchored_grid(model, frame, eps=None, resolution=201):
     return grid_from_batches(h_many, box, (resolution,) * d)
 
 
-def envelope_agreement_check(model, frame, trace_points, resolution=101,
-                             eps=None):
+def envelope_agreement_check(model, frame, trace_points, resolution=101):
     """max over trace points (u, v(u)) of h(w) - co h(w) at w = u + v(u).
 
     Uses the pointwise epigraph LP on the anchored grid; returns
@@ -229,7 +228,7 @@ def envelope_agreement_check(model, frame, trace_points, resolution=101,
     """
     from .oracle import evaluate
     from .vu import assemble
-    gf = anchored_grid(model, frame, eps=eps, resolution=resolution)
+    gf = anchored_grid(model, frame, resolution=resolution)
     worst = 0.0
     for coords in trace_points:
         coords = np.asarray(coords, dtype=float)
@@ -240,30 +239,26 @@ def envelope_agreement_check(model, frame, trace_points, resolution=101,
     return worst, float(np.max(gf.spacing()))
 
 
-def conjugacy_identity_check(model, frame, z_u_grid, resolution=401,
-                             ulag_ctx=None):
-    """max over z_U of |L*(z_U) - h*(z_U + anchor_V)|.
+def conjugacy_identity_check(ctx, z_u_grid, resolution=401):
+    """max over z_U of |L*(z_U) - h*(z_U + anchor_V)| for the U-Lagrangian
+    of the ULagContext ctx.
 
     The left side conjugates the partially-minimized function on a U grid;
     the right side conjugates the anchored function over the full product
     ball.  Both are exact discrete transforms of independent data.
     """
     from . import ulagrangian
-    ctx = ulag_ctx or ulagrangian.ULagContext(model=model, frame=frame)
-    eps = frame.eps
-    ku = np.linspace(-eps, eps, resolution)
-    if ctx.uprime_basis.shape[1] != 1:
+    frame = ctx.frame
+    ku = np.linspace(-frame.eps, frame.eps, resolution)
+    if ctx.dim_uprime != 1:
         raise ValueError("conjugacy check implemented for 1-dimensional U'")
     lvals = np.array([ulagrangian.l_value(ctx, np.array([u])) for u in ku])
     worst = 0.0
-    h_grid = anchored_grid(model, frame, eps=eps, resolution=resolution)
-    anchor_v = frame.anchor_v
-    residuals = []
+    h_grid = anchored_grid(ctx.model, frame, resolution=resolution)
     for zu in np.atleast_1d(z_u_grid):
         left = float(np.max(zu * ku - lvals))
         # dual point in frame coordinates: (z_U, anchor_V)
-        z_coords = np.concatenate([[zu], anchor_v])
+        z_coords = np.concatenate([[zu], frame.anchor_v])
         right = float(conjugate_at(h_grid, z_coords[None, :])[0])
-        residuals.append(abs(left - right))
-        worst = max(worst, residuals[-1])
+        worst = max(worst, abs(left - right))
     return worst

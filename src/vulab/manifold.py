@@ -43,24 +43,27 @@ class ManifoldTrace:
         return np.column_stack([self.u_nodes, self.v_values])
 
 
-def trace(ctx, delta, resolution=31, stability=None, max_shrink=3):
+MAX_SHRINK = 3
+
+
+def trace(ctx, delta, resolution=31, stability=None):
     """Populate the trace over the U'-grid in B_delta(0): the cube lattice
     with `resolution` nodes per axis filtered to the closed ball, which is
     the single node u = 0 when dim U' = 0.
 
     Preconditions: delta <= frame.eps; a stable verdict when one is supplied
     and the component is nontrivial.  BoundaryActive nodes are flagged (and
-    delta is halved up to max_shrink times when any appear)."""
+    delta is halved up to MAX_SHRINK times when any appear)."""
     if delta > ctx.frame.eps + 1e-12:
         raise ValueError("delta exceeds the frame radius")
     if stability is not None and ctx.dim_uprime > 0 and not stability.stable:
         raise ValueError("trace requires a tilt-stable base point")
     k = ctx.dim_uprime
-    for attempt in range(max_shrink + 1):
+    for attempt in range(MAX_SHRINK + 1):
         nodes = ball_lattice(k, delta, resolution)
         solves = [ulagrangian.solve(ctx, u) for u in nodes]
         flags = np.array([boundary for _, _, boundary in solves])
-        if not flags.any() or attempt == max_shrink:
+        if not flags.any() or attempt == MAX_SHRINK:
             break
         delta *= 0.5
     m = len(nodes)
@@ -86,7 +89,7 @@ def _selection_jacobian(ctx, u):
     u + h or u - h leaves the U'-ball, the one-sided three-point pair on the
     inside is used, which is O(h^2) like the central one."""
     k = ctx.dim_uprime
-    h = 1e-5 * (1.0 + np.linalg.norm(u))
+    h = ulagrangian.FD_STEP * (1.0 + np.linalg.norm(u))
     jac = np.zeros((ctx.dim_vprime, k))
 
     def inside(w):
@@ -113,7 +116,7 @@ def c11_check(tr):
     return max_difference_quotient(tr.u_nodes, tr.z_u_values)
 
 
-def grad_chain_check(tr, tau=1e-9):
+def grad_chain_check(tr):
     """Max over nodes and subdifferential generators of the chain-rule
     residual |(e_U, grad v)^T s - z_U|: the projected pairing must be single
     valued even where the subdifferential is not."""
@@ -121,7 +124,7 @@ def grad_chain_check(tr, tau=1e-9):
     worst = 0.0
     for idx, (u, v) in enumerate(zip(tr.u_nodes, tr.v_values)):
         point = ctx.point(u, v)
-        poly = subdifferential_polytope(ctx.model, point, tau)
+        poly = subdifferential_polytope(ctx.model, point)
         for s in poly.generators:
             for i in range(tr.dim_u):
                 tangent = ctx.uprime_basis[:, i].copy()
@@ -131,21 +134,28 @@ def grad_chain_check(tr, tau=1e-9):
     return worst
 
 
-def taylor_lower_check(tr, q_margin=0.1, inflate=0.0, sample_radius=0.05,
-                       samples_per_axis=5, eta_coeff=0.01, certify=True):
+# taylor_lower_check: the curvature back-off, and the cube lattice (half-width,
+# nodes per axis) sampled in U' and in V' around every node.
+Q_MARGIN = 0.1
+SAMPLE_RADIUS = 0.05
+SAMPLES_PER_AXIS = 5
+
+
+def taylor_lower_check(tr, inflate=0.0):
     """Worst margin of the local lower Taylor estimate around each node.
 
     Q is a curvature matrix for the Lagrangian at (u, z_U(u)), backed off by
-    q_margin and certified through subjet membership; inflate > 0 skips
-    certification (the sharpness probe)."""
+    Q_MARGIN and certified through subjet membership, with the slack
+    subjets.ETA_COEFF sqrt(||du||) ||du||^2; inflate > 0 skips certification
+    (the sharpness probe)."""
     ctx = tr.ctx
     k = tr.dim_u
     worst = np.inf
-    u_offsets = cube_lattice(k, sample_radius, samples_per_axis)
-    v_offsets = cube_lattice(ctx.dim_vprime, sample_radius, samples_per_axis)
+    u_offsets = cube_lattice(k, SAMPLE_RADIUS, SAMPLES_PER_AXIS)
+    v_offsets = cube_lattice(ctx.dim_vprime, SAMPLE_RADIUS, SAMPLES_PER_AXIS)
     for idx, (u, v) in enumerate(zip(tr.u_nodes, tr.v_values)):
         if k:
-            Q = _certified_curvature(tr, idx, q_margin, certify and inflate == 0.0)
+            Q = _certified_curvature(tr, idx, inflate == 0.0)
             Q = Q + inflate * np.eye(k)
         else:
             Q = np.zeros((0, 0))
@@ -162,7 +172,7 @@ def taylor_lower_check(tr, q_margin=0.1, inflate=0.0, sample_radius=0.05,
                 point = ctx.point(up, vp)
                 delta_w = point - ctx.point(u, v)
                 quad = 0.5 * float(du @ Q @ du) if k else 0.0
-                eta = eta_coeff * np.linalg.norm(du) ** 0.5
+                eta = subjets.ETA_COEFF * np.linalg.norm(du) ** 0.5
                 margin = (evaluate(ctx.model, point) - f_node
                           - float(w_z @ delta_w) - quad
                           + eta * float(du @ du))
@@ -170,15 +180,15 @@ def taylor_lower_check(tr, q_margin=0.1, inflate=0.0, sample_radius=0.05,
     return float(worst)
 
 
-def _certified_curvature(tr, idx, q_margin, certify):
+def _certified_curvature(tr, idx, certify):
     """Second difference estimate of the Lagrangian curvature at a node,
-    backed off by q_margin and membership-certified on the Lagrangian."""
+    backed off by Q_MARGIN and membership-certified on the Lagrangian."""
     ctx = tr.ctx
     k = tr.dim_u
     u = tr.u_nodes[idx]
     step = 1e-3 * (1.0 + np.linalg.norm(u))
     H = subjets.fd_hessian(lambda w: ulagrangian.l_value(ctx, w), u, step)
-    Q = 0.5 * (H + H.T) - q_margin * np.eye(k)
+    Q = 0.5 * (H + H.T) - Q_MARGIN * np.eye(k)
     if not certify:
         return Q
     from .oracle import FunctionModel, Flags
@@ -186,14 +196,14 @@ def _certified_curvature(tr, idx, q_margin, certify):
                             value_fn=lambda w: ulagrangian.l_value(ctx, w),
                             flags=Flags(locally_lipschitz=True),
                             name="lagrangian")
-    cfg = subjets.MembershipConfig(radii=tuple(0.04 * 0.5**j for j in range(6)),
-                                   n_dirs=16 if k >= 2 else 2)
-    for extra in (0.0, q_margin, 3 * q_margin):
+    radii = tuple(0.04 * 0.5**j for j in range(6))
+    for extra in (0.0, Q_MARGIN, 3 * Q_MARGIN):
         cand = subjets.JetCandidate(x=u, z=tr.z_u_values[idx],
                                     Q=Q - extra * np.eye(k))
-        if subjets.subjet_membership(l_model, cand, cfg).status == "member":
+        if subjets.subjet_membership(l_model, cand, radii=radii,
+                                     n_dirs=16).status == "member":
             return Q - extra * np.eye(k)
-    return Q - 3 * q_margin * np.eye(k)
+    return Q - 3 * Q_MARGIN * np.eye(k)
 
 
 def dv_continuity_check(tr):

@@ -246,7 +246,7 @@ def evaluate_many(model, X):
     return np.array([float(model.value_fn(x)) for x in X], dtype=float)
 
 
-def active_set(model, x, tau=DEFAULT_ACTIVE_TOL):
+def active_set(model, x, tau):
     """Indices i with f(x) - f_i(x) <= tau * (1 + |f(x)|), where f_i is the
     full selection (for the sum kind: smooth part plus affine piece i)."""
     x = _check_point(model, x)
@@ -264,11 +264,12 @@ def active_set(model, x, tau=DEFAULT_ACTIVE_TOL):
     return ActiveSet(indices=idx, tolerance=tau)
 
 
-def subdifferential_polytope(model, x, tau=DEFAULT_ACTIVE_TOL):
-    """Generators of co(subdifferential f)(x) for structured models."""
+def subdifferential_polytope(model, x):
+    """Generators of co(subdifferential f)(x) for structured models, with
+    the pieces active to DEFAULT_ACTIVE_TOL."""
     x = _check_point(model, x)
     if model.kind == "max_of_smooth":
-        act = active_set(model, x, tau)
+        act = active_set(model, x, DEFAULT_ACTIVE_TOL)
         gens = [model.pieces[i].gradient(x) for i in sorted(act.indices)]
         return SubdifferentialPolytope(np.array(gens), x)
     if model.kind == "sum_of_smooth_and_polyhedral":
@@ -276,7 +277,7 @@ def subdifferential_polytope(model, x, tau=DEFAULT_ACTIVE_TOL):
         for p in model.pieces:
             smooth = smooth + p.gradient(x)
         if model.polyhedral_part:
-            act = active_set(model, x, tau)
+            act = active_set(model, x, DEFAULT_ACTIVE_TOL)
             gens = [smooth + model.polyhedral_part[i].gradient(x)
                     for i in sorted(act.indices)]
         else:

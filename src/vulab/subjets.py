@@ -16,8 +16,9 @@ import numpy as np
 
 from .errors import (CapabilityMissing, EmptyBundle, LambdaTooLarge,
                      NotASubspace, SingularHessian)
-from .oracle import (QuadraticPiece, FunctionModel, Flags, active_set, evaluate,
-                     evaluate_many, subdifferential_polytope)
+from .oracle import (DEFAULT_ACTIVE_TOL, QuadraticPiece, FunctionModel, Flags,
+                     active_set, evaluate, evaluate_many,
+                     subdifferential_polytope)
 from .solvers import (cluster_minimizers, minimize_branches,
                       sphere_directions, _offset_lattice)
 from . import vu
@@ -84,11 +85,13 @@ def delta2(model, x, z, t, u, fx=None):
     return 2.0 * (fxt - fx - t * float(np.dot(z, u))) / t**2
 
 
-def default_t_grid(t_max=1e-1, t_min=1e-4, ratio=0.5):
-    ts = [t_max]
-    while ts[-1] * ratio >= t_min * (1 - 1e-12):
-        ts.append(ts[-1] * ratio)
-    return np.array(ts)
+# Dini shells t at the base point, 0.1 halved down to 1e-4 (exact halvings),
+# each searched over the ball of radius DIR_BALL * t around h with REFINE
+# refinements; a shell trace diverges past DIVERGENCE_THRESHOLD.
+SHELL_TS = 0.1 * 0.5 ** np.arange(10)
+DIR_BALL = 0.1
+REFINE = 2
+DIVERGENCE_THRESHOLD = 1e3
 
 
 @dataclass
@@ -101,15 +104,14 @@ class ShellTrace:
         tail = self.values[-3:] if len(self.values) >= 3 else self.values
         return float(np.min(tail))
 
-    def divergent(self, threshold):
+    @property
+    def divergent(self):
         v = self.values
-        if len(v) < 3:
-            return bool(v[-1] > threshold)
-        increasing = v[-3] < v[-2] < v[-1]
-        return bool(v[-1] > threshold and increasing)
+        increasing = len(v) < 3 or v[-3] < v[-2] < v[-1]
+        return bool(v[-1] > DIVERGENCE_THRESHOLD and increasing)
 
 
-def _shell_minima(model, X, Z, H, T, R, FX, refine):
+def _shell_minima(model, X, Z, H, T, R, FX):
     """min of Delta2 over directions u near h with ||u|| = ||h||, for every
     row (x, z, h, t, radius, f(x)) of the stacked arrays at once.
 
@@ -144,7 +146,7 @@ def _shell_minima(model, X, Z, H, T, R, FX, refine):
     rad = R
     best_u = H
     best = quotients(H)
-    for _ in range(refine + 1):
+    for _ in range(REFINE + 1):
         for o in _offset_lattice(H.shape[1])[1:]:
             U = project(best_u + rad[:, None] * o)
             V = quotients(U)
@@ -155,9 +157,10 @@ def _shell_minima(model, X, Z, H, T, R, FX, refine):
     return best
 
 
-def _shell_traces(model, sites, specs, refine):
-    """The ShellTrace of dini_second for every spec (site, h, ts, radii),
-    all shells of all specs searched in one _shell_minima batch.
+def _shell_traces(model, sites, specs):
+    """The ShellTrace of every spec (site, h, ts, radii): per shell t the
+    lower second-order Dini quotient minimized over the ball of that radius
+    around h, all shells of all specs searched in one _shell_minima batch.
 
     sites lists the points (x, z); a spec names its site by index and gives
     one ball radius per shell t."""
@@ -170,44 +173,14 @@ def _shell_traces(model, sites, specs, refine):
                   lengths, axis=0)
     T = np.concatenate([ts for _, _, ts, _ in specs])
     R = np.concatenate([radii for _, _, _, radii in specs])
-    best = _shell_minima(model, X[idx], Z[idx], H, T, R, FX[idx], refine)
+    best = _shell_minima(model, X[idx], Z[idx], H, T, R, FX[idx])
     parts = np.split(best, np.cumsum(lengths)[:-1])
     return [ShellTrace(ts=np.array(ts), values=v)
             for (_, _, ts, _), v in zip(specs, parts)]
 
 
-def dini_second(model, x, z, h, t_grid=None, dir_ball=0.1, ball_radius=None,
-                refine=2):
-    """Shell approximation of the lower second-order Dini derivative.
-
-    Per shell t the quotient is minimized over a direction ball around h of
-    radius ball_radius (fixed) or dir_ball*t (shrinking).  The full shell
-    trace is returned so divergence stays inspectable.
-    """
-    ts = np.asarray(t_grid if t_grid is not None else default_t_grid())
-    radii = (dir_ball * ts if ball_radius is None
-             else np.full(len(ts), ball_radius, dtype=float))
-    return _shell_traces(model, [(x, z)], [(0, h, ts, radii)], refine)[0]
-
-
 # ---------------------------------------------------------------------------
 # rank-1 support of the limiting subhessian
-
-@dataclass
-class RankOneConfig:
-    t_grid: np.ndarray = None
-    dir_ball: float = 0.1
-    divergence_threshold: float = 1e3
-    refine: int = 2
-    attentive: bool = True
-    probe_radii: tuple = (0.03, 0.01)
-    probe_dir_count: int = 8
-    probe_t_fracs: tuple = (0.1, 0.05, 0.025, 0.0125)
-    probe_ball_scale: float = 2.0
-    z_radius: float = 0.5
-    f_radius: float = 0.5
-    active_tol: float = 1e-9
-
 
 @dataclass
 class RankOneResult:
@@ -218,29 +191,39 @@ class RankOneResult:
 
 from .solvers import hull_point_candidates as _z_candidates
 
+# Probe sites at distance rho in PROBE_RADII along PROBE_DIRS directions,
+# f- and z-attentive within PROBE_F_RADIUS and PROBE_Z_RADIUS (relative);
+# each searches the shells PROBE_T_FRACS * rho, balls PROBE_BALL_SCALE * rho.
+PROBE_RADII = (0.03, 0.01)
+PROBE_DIRS = 8
+PROBE_F_RADIUS = 0.5
+PROBE_Z_RADIUS = 0.5
+PROBE_T_FRACS = (0.1, 0.05, 0.025, 0.0125)
+PROBE_BALL_SCALE = 2.0
 
-def attentive_probes(model, x, z, cfg):
-    """Nearby (x', z') in the subdifferential graph: kink points within the
-    f-attentive radius whose hull holds subgradients near z."""
+
+def attentive_probes(model, x, z):
+    """Nearby (x', z', rho) in the subdifferential graph: kink points x'
+    within the f-attentive radius whose hull holds subgradients z' near z."""
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=float)
     fx = evaluate(model, x)
     probes = []
     seen = set()
-    dirs = sphere_directions(model.dim, cfg.probe_dir_count)
-    for rho in cfg.probe_radii:
+    dirs = sphere_directions(model.dim, PROBE_DIRS)
+    for rho in PROBE_RADII:
         for d in dirs:
             xp = x + rho * d
-            if abs(evaluate(model, xp) - fx) > cfg.f_radius * (1.0 + abs(fx)):
+            if abs(evaluate(model, xp) - fx) > PROBE_F_RADIUS * (1.0 + abs(fx)):
                 continue
             try:
-                poly = subdifferential_polytope(model, xp, cfg.active_tol)
+                poly = subdifferential_polytope(model, xp)
             except CapabilityMissing:
                 continue
             if len(poly.generators) < 2:
                 continue
             for zp in _z_candidates(poly.generators):
-                if np.linalg.norm(zp - z) > cfg.z_radius * (1.0 + np.linalg.norm(z)):
+                if np.linalg.norm(zp - z) > PROBE_Z_RADIUS * (1.0 + np.linalg.norm(z)):
                     continue
                 key = (tuple(np.round(xp, 12)), tuple(np.round(zp, 12)))
                 if key in seen:
@@ -250,49 +233,43 @@ def attentive_probes(model, x, z, cfg):
     return probes
 
 
-def _symmetric_estimate(tp, tm, cfg):
+def _symmetric_estimate(tp, tm):
     """min over +-h of the per-probe Dini estimates; divergent needs both."""
-    dp = tp.divergent(cfg.divergence_threshold)
-    dm = tm.divergent(cfg.divergence_threshold)
-    if dp and dm:
+    vals = [t.estimate for t in (tp, tm) if not t.divergent]
+    if not vals:
         return True, None, (tp, tm)
-    vals = []
-    if not dp:
-        vals.append(tp.estimate)
-    if not dm:
-        vals.append(tm.estimate)
     return False, float(min(vals)), (tp, tm)
 
 
-def rank1_supports(model, x, z, H, cfg=None, probes=None):
-    """rank1_support for every unit direction in the rows of H, with the
-    Dini searches of all directions, sites and shells run in one batch.
+def rank1_supports(model, x, z, H, probes=None):
+    """Rank-1 support q of the limiting subhessian along every unit
+    direction in the rows of H, with the Dini searches of all directions,
+    sites and shells run in one batch.
 
-    probes, when given, is attentive_probes(model, x, z, cfg), so that
-    callers querying many directions at one (x, z) compute it once.
+    Value = sup over the base point and attentive probes of the symmetric
+    Dini estimate; divergent as soon as one probe diverges in both +-h.
+    probes, when given, is attentive_probes(model, x, z), so that callers
+    querying many directions at one (x, z) compute it once.
     """
-    cfg = cfg or RankOneConfig()
     H = np.asarray(H, dtype=float).reshape(-1, len(x))
     if len(H) == 0:
         return []
-    ts = np.asarray(cfg.t_grid if cfg.t_grid is not None else default_t_grid())
+    if probes is None:
+        probes = attentive_probes(model, x, z)
     sites = [(np.asarray(x, float), np.asarray(z, float))]
-    shells = [(ts, cfg.dir_ball * ts)]
-    if cfg.attentive:
-        if probes is None:
-            probes = attentive_probes(model, x, z, cfg)
-        for xp, zp, rho in probes:
-            pts = rho * np.asarray(cfg.probe_t_fracs)
-            sites.append((xp, zp))
-            shells.append((pts, np.full(len(pts), cfg.probe_ball_scale * rho)))
+    shells = [(SHELL_TS, DIR_BALL * SHELL_TS)]
+    for xp, zp, rho in probes:
+        pts = rho * np.asarray(PROBE_T_FRACS)
+        sites.append((xp, zp))
+        shells.append((pts, np.full(len(pts), PROBE_BALL_SCALE * rho)))
     specs = [(s, sign * h, t, r) for h in H for s, (t, r) in enumerate(shells)
              for sign in (1.0, -1.0)]
-    traces = _shell_traces(model, sites, specs, cfg.refine)
+    traces = _shell_traces(model, sites, specs)
     out = []
     for k in range(len(H)):
         first = 2 * len(sites) * k
         results = [_symmetric_estimate(traces[first + 2 * s],
-                                       traces[first + 2 * s + 1], cfg)
+                                       traces[first + 2 * s + 1])
                    for s in range(len(sites))]
         divergent = any(r[0] for r in results)
         out.append(RankOneResult(
@@ -302,22 +279,13 @@ def rank1_supports(model, x, z, H, cfg=None, probes=None):
     return out
 
 
-def rank1_support(model, x, z, h, cfg=None, probes=None):
-    """Rank-1 support q of the limiting subhessian along unit direction h.
-
-    Value = sup over the base point and attentive probes of the symmetric
-    Dini estimate; divergent as soon as one probe diverges in both +-h.
-    """
-    return rank1_supports(model, x, z, np.asarray(h, dtype=float)[None, :],
-                          cfg, probes)[0]
+GRID_TOL = 1e-10
 
 
 @dataclass
 class RankOneProfile:
     directions: np.ndarray
     values: list                 # float per direction, None when divergent
-    divergence_threshold: float
-    t_grid: np.ndarray
     support: object = None       # callable H -> RankOneResult per row of H
     meta: dict = field(default_factory=dict)
 
@@ -325,17 +293,17 @@ class RankOneProfile:
         return np.array([d for d, v in zip(self.directions, self.values)
                          if v is not None]).reshape(-1, self.directions.shape[1])
 
-    def _grid_value(self, d, tol):
-        """q at the first profile direction within tol of the unit d (inf
-        when divergent), or None when d is off the grid."""
+    def _grid_value(self, d):
+        """q at the first profile direction within GRID_TOL of the unit d
+        (inf when divergent), or None when d is off the grid."""
         D = self.directions - d
-        hits = np.flatnonzero(np.sqrt(np.vecdot(D, D)) <= tol)
+        hits = np.flatnonzero(np.sqrt(np.vecdot(D, D)) <= GRID_TOL)
         if not hits.size:
             return None
         v = self.values[hits[0]]
         return np.inf if v is None else v
 
-    def prefetch(self, points, tol=1e-10):
+    def prefetch(self, points):
         """Fill the value_at cache for every point off the profile grid with
         one batched support call, in the order value_at would meet them."""
         cache = self.meta.setdefault("_value_cache", {})
@@ -348,14 +316,14 @@ class RankOneProfile:
             d = h / n
             key = tuple(np.round(d, 12))
             if (key not in cache and key not in todo
-                    and self._grid_value(d, tol) is None):
+                    and self._grid_value(d) is None):
                 todo[key] = d
         if todo:
             results = self.support(np.array(list(todo.values())))
             for key, res in zip(todo, results):
                 cache[key] = np.inf if res.divergent else res.value
 
-    def value_at(self, h, tol=1e-10):
+    def value_at(self, h):
         """Degree-2 homogeneous evaluation, reusing profile directions when
         aligned and re-evaluating (with caching) otherwise."""
         h = np.asarray(h, dtype=float)
@@ -363,31 +331,33 @@ class RankOneProfile:
         if n < 1e-15:
             return 0.0
         d = h / n
-        v = self._grid_value(d, tol)
+        v = self._grid_value(d)
         if v is not None:
             return v * n**2
-        self.prefetch([h], tol)
+        self.prefetch([h])
         return self.meta["_value_cache"][tuple(np.round(d, 12))] * n**2
 
 
-def second_order_component(model, x, z, dir_grid=None, cfg=None, check_pairs=6):
+# 2-D profile directions, and the midpoints checked for closure.
+PROFILE_DIRS = 64
+MIDPOINT_CHECKS = 6
+
+
+def second_order_component(model, x, z):
     """Second-order component: span of the directions with finite rank-1
     support, verified to be subspace-like and contained in U.
 
     Returns (u2_basis, RankOneProfile).  Raises NotASubspace when the finite
     set fails closure under midpoints.
     """
-    cfg = cfg or RankOneConfig()
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=float)
     poly = subdifferential_polytope(model, x)
     if not vu.rel_interior_contains(poly, z):
         warnings.warn("anchor is not in the relative interior of the hull; "
                       "the second-order component may degenerate", stacklevel=2)
-    if dir_grid is None:
-        dir_grid = sphere_directions(model.dim, 64 if model.dim >= 2 else 2)
-    dir_grid = np.atleast_2d(np.asarray(dir_grid, dtype=float))
-    probes = attentive_probes(model, x, z, cfg) if cfg.attentive else None
+    dir_grid = sphere_directions(model.dim, PROFILE_DIRS)
+    probes = attentive_probes(model, x, z)
 
     # antipodes share one search; the grid alone decides which
     owner = list(range(len(dir_grid)))
@@ -400,15 +370,13 @@ def second_order_component(model, x, z, dir_grid=None, cfg=None, check_pairs=6):
             if owner[j] == j and np.linalg.norm(dir_grid[j] + h) <= 1e-12:
                 owner[j] = i
     results = dict(zip(searched, rank1_supports(model, x, z, dir_grid[searched],
-                                                cfg, probes)))
+                                                probes)))
     values = [None if results[i].divergent else results[i].value
               for i in owner]
 
     profile = RankOneProfile(
         directions=dir_grid, values=values,
-        divergence_threshold=cfg.divergence_threshold,
-        t_grid=np.asarray(cfg.t_grid if cfg.t_grid is not None else default_t_grid()),
-        support=lambda H: rank1_supports(model, x, z, H, cfg, probes))
+        support=lambda H: rank1_supports(model, x, z, H, probes))
 
     finite = profile.finite_directions()
     if len(finite) == 0:
@@ -428,14 +396,14 @@ def second_order_component(model, x, z, dir_grid=None, cfg=None, check_pairs=6):
                 pairs.append((i, i + step))
         mids = []
         for i, j in pairs:
-            if len(mids) >= check_pairs:
+            if len(mids) >= MIDPOINT_CHECKS:
                 break
             m = finite[i] + finite[j]
             nm = np.linalg.norm(m)
             if nm >= 1e-8:
                 mids.append(m / nm)
         if any(res.divergent
-               for res in rank1_supports(model, x, z, mids, cfg, probes)):
+               for res in rank1_supports(model, x, z, mids, probes)):
             raise NotASubspace(
                 "finite-direction set is not closed under midpoints")
     frame = vu.decompose(poly, z)
@@ -446,7 +414,6 @@ def second_order_component(model, x, z, dir_grid=None, cfg=None, check_pairs=6):
         if angle > 1e-8:
             warnings.warn("second-order component is not contained in U",
                           stacklevel=2)
-    profile.meta["dim_u2"] = u2.shape[1]
     return u2, profile
 
 
@@ -474,23 +441,21 @@ class MembershipResult:
     min_margin: float
 
 
-@dataclass
-class MembershipConfig:
-    radii: tuple = tuple(0.2 * 0.5**k for k in range(8))
-    n_dirs: int = 64
-    eta_coeff: float = 0.01
+# c in the small-order slack eta(r) = c sqrt(r) of subjets and Taylor bounds.
+ETA_COEFF = 0.01
+MEMBERSHIP_RADII = tuple(0.2 * 0.5**k for k in range(8))
 
 
-def subjet_membership(model, cand, cfg=None):
+def subjet_membership(model, cand, *, radii=MEMBERSHIP_RADII, n_dirs=64):
     """Test f(x+d) >= f(x) + <z,d> + 0.5 d^T Q d - eta(||d||) ||d||^2 over
-    shells of shrinking radius with eta = c sqrt(r) (the vanishing slack the
-    small-order term allows)."""
-    cfg = cfg or MembershipConfig()
+    n_dirs directions on shells of the given shrinking radii, with
+    eta = ETA_COEFF sqrt(r) (the vanishing slack the small-order term
+    allows)."""
     fx = evaluate(model, cand.x)
-    dirs = sphere_directions(len(cand.x), cfg.n_dirs)
-    margins = np.empty((len(cfg.radii), len(dirs)))
-    for si, r in enumerate(cfg.radii):
-        eta = cfg.eta_coeff * np.sqrt(r)
+    dirs = sphere_directions(len(cand.x), n_dirs)
+    margins = np.empty((len(radii), len(dirs)))
+    for si, r in enumerate(radii):
+        eta = ETA_COEFF * np.sqrt(r)
         S = r * dirs
         # the stacked matmul runs the vector-matrix kernel of step @ Q per row
         SQ = np.matmul(S[:, None, :], cand.Q)[:, 0, :]
@@ -536,7 +501,7 @@ def limiting_hessians(model, x, z, radii=(0.1, 0.05, 0.02, 0.01),
         step = fd_step if fd_step is not None else 1e-4 * (1.0 + np.linalg.norm(p))
         if model.kind in ("max_of_smooth", "sum_of_smooth_and_polyhedral"):
             try:
-                act = active_set(model, p, 1e-9)
+                act = active_set(model, p, DEFAULT_ACTIVE_TOL)
             except CapabilityMissing:
                 act = None
             if act is not None and len(act.indices) != 1:
@@ -606,9 +571,10 @@ def lambda_too_large(model, lam):
 
 
 def prox_points(model, lam, x):
-    """Envelope value and the prox points at x: every minimizer that
-    cluster_minimizers keeps, nearest to x first.  More than one point means
-    the prox is set-valued at x.
+    """Envelope value, the prox points at x and whether a solver hit its
+    budget (the points are then approximate).  The prox points are every
+    minimizer that cluster_minimizers keeps, nearest to x first; more than
+    one point means the prox is set-valued at x.
 
     Requires lam > 0 and, when a quadratic minorant (alpha, R) is declared,
     R < 1/lam; the value is the objective at the first prox point.
@@ -637,17 +603,17 @@ def prox_points(model, lam, x):
         reps = np.array(sorted(reps, key=lambda p: (np.linalg.norm(p - x),
                                                     tuple(p))), dtype=float)
         if np.linalg.norm(reps[0] - x) < radius * (1.0 - 1e-6):
-            return float(objective(reps[:1])[0]), reps
+            return float(objective(reps[:1])[0]), reps, res.approximate
         radius *= 4.0
     raise LambdaTooLarge("prox search kept hitting the search-ball boundary")
 
 
 def moreau_envelope(model, lam, x):
     """Infimal convolution value and prox point at x (the prox point nearest
-    x when the prox is set-valued); the gradient of the envelope is
-    (x - prox)/lam."""
-    val, reps = prox_points(model, lam, x)
-    return val, reps[0]
+    x when the prox is set-valued), and whether the prox solve hit its
+    budget; the gradient of the envelope is (x - prox)/lam."""
+    val, reps, approximate = prox_points(model, lam, x)
+    return val, reps[0], approximate
 
 
 def moreau_model(model, lam):
@@ -656,7 +622,7 @@ def moreau_model(model, lam):
         return moreau_envelope(model, lam, x)[0]
 
     def gradient_fn(x):
-        val, prox = moreau_envelope(model, lam, x)
+        _, prox, _ = moreau_envelope(model, lam, x)
         return (np.asarray(x, dtype=float) - prox) / lam
 
     out = FunctionModel(
@@ -672,21 +638,26 @@ def moreau_model(model, lam):
 # ---------------------------------------------------------------------------
 # appendix checks
 
-def para_convexity_check(profile, r, t_grid=(0.5, 1.0), max_dirs=8):
+# para_convexity_check points t d: t in PARA_TS, d among at most
+# PARA_MAX_DIRS finite directions (a cap on the quadratic pair growth).
+PARA_TS = (0.5, 1.0)
+PARA_MAX_DIRS = 8
+
+
+def para_convexity_check(profile, r):
     """Worst midpoint-convexity violation of h -> q(h) + r||h||^2 over points
     built from the finite directions, after degree-2 homogeneous extension.
 
     Midpoint directions off the profile grid are re-evaluated through the
     profile's support callable (one batched call, then cached), so the check
-    stays exact rather than interpolated; max_dirs caps the quadratic pair
-    growth."""
+    stays exact rather than interpolated."""
     finite = profile.finite_directions()
     if len(finite) == 0:
         return 0.0
-    if len(finite) > max_dirs:
-        stride = int(np.ceil(len(finite) / max_dirs))
+    if len(finite) > PARA_MAX_DIRS:
+        stride = int(np.ceil(len(finite) / PARA_MAX_DIRS))
         finite = finite[::stride]
-    pts = [t * d for d in finite for t in t_grid]
+    pts = [t * d for d in finite for t in PARA_TS]
     triples = [(0.5 * (pts[i] + pts[j]), pts[i], pts[j])
                for i in range(len(pts)) for j in range(i, len(pts))]
     profile.prefetch([w for triple in triples for w in triple])
@@ -726,45 +697,51 @@ def _quadratic_fit_hessian(zs, vals, center):
     return H
 
 
-def hessian_duality_check(model, x, fd_step=1e-5, box_half=2.0, resolution=401,
-                          dual_step=0.1, stencil_half=2):
+# hessian_duality_check: the fd step at x, the primal grid (half-width and
+# nodes per axis) and the dual stencil (spacing and half-width in steps).
+DUALITY_FD_STEP = 1e-5
+DUALITY_BOX_HALF = 2.0
+DUALITY_RESOLUTION = 401
+DUALITY_STEP = 0.1
+DUALITY_STENCIL_HALF = 2
+
+
+def hessian_duality_check(model, x):
     """Residual ||grad^2 f*(z) - Q^{-1}||_F with Q the finite-difference
     Hessian at x, z the gradient, and f* sampled from the discrete conjugate
     over a primal grid (dual Hessian by local quadratic fit)."""
     from .envelope import conjugate_at, grid_from_batches
     x = np.asarray(x, dtype=float)
     fun = lambda p: evaluate(model, p)
-    Q = fd_hessian(fun, x, fd_step)
-    z = fd_gradient(fun, x, fd_step)
+    Q = fd_hessian(fun, x, DUALITY_FD_STEP)
+    z = fd_gradient(fun, x, DUALITY_FD_STEP)
     eig = np.linalg.eigvalsh(Q)
     if eig.min() <= 1e-8 * max(eig.max(), 1.0):
         raise SingularHessian("finite-difference Hessian is not positive definite")
     d = model.dim
-    box = np.column_stack([x - box_half, x + box_half])
+    box = np.column_stack([x - DUALITY_BOX_HALF, x + DUALITY_BOX_HALF])
     gf = grid_from_batches(lambda P: evaluate_many(model, P), box,
-                           (resolution,) * d)
-    offsets = dual_step * np.array(
-        np.meshgrid(*([np.arange(-stencil_half, stencil_half + 1)] * d),
-                    indexing="ij")).reshape(d, -1).T
+                           (DUALITY_RESOLUTION,) * d)
+    stencil = np.arange(-DUALITY_STENCIL_HALF, DUALITY_STENCIL_HALF + 1)
+    offsets = DUALITY_STEP * np.array(
+        np.meshgrid(*([stencil] * d), indexing="ij")).reshape(d, -1).T
     zs = z + offsets
     vals = conjugate_at(gf, zs)
     H_star = _quadratic_fit_hessian(zs, vals, z)
     return float(np.linalg.norm(H_star - np.linalg.inv(Q), ord="fro"))
 
 
-def uniform_bound_check(model, x, z, u2_basis, cfg=None):
+def uniform_bound_check(model, x, z, u2_basis):
     """M_hat = max over U^2 directions (base point and attentive probes) of
     the finite-shell quotient estimates; finiteness is the assertion."""
-    cfg = cfg or RankOneConfig()
     u2 = np.atleast_2d(u2_basis)
     k = u2.shape[1]
     if k == 0:
         return 0.0
-    probes = attentive_probes(model, x, z, cfg) if cfg.attentive else None
     H = [u2 @ w / np.linalg.norm(u2 @ w)
-         for w in sphere_directions(k, 16 if k >= 2 else 2)]
+         for w in sphere_directions(k, 16)]
     m_hat = -np.inf
-    for res in rank1_supports(model, x, z, H, cfg, probes):
+    for res in rank1_supports(model, x, z, H):
         if res.divergent:
             return np.inf
         m_hat = max(m_hat, res.value)

@@ -102,9 +102,16 @@ def monotonicity_margin(probes):
                default=np.inf)
 
 
-def prox_regularity_test(model, base_point, anchor_z, eps, r_grid,
-                         sample_per_axis=5, tau=1e-9):
-    """Smallest r in r_grid making the proximal inequality hold on a
+# The candidate moduli of prox_regularity_test and quadratic_minorant_test,
+# and their lattices: nodes per axis, and the box half-width of the latter.
+R_GRID = (0.0, 0.5, 1.0, 2.0, 4.0, 8.0)
+PROX_SAMPLE_PER_AXIS = 5
+MINORANT_BOX_HALF = 2.0
+MINORANT_SAMPLE_PER_AXIS = 21
+
+
+def prox_regularity_test(model, base_point, anchor_z, eps):
+    """Smallest r in R_GRID making the proximal inequality hold on a
     deterministic sample of f-attentive triples (x, x', z); None if all fail.
 
     f(x') >= f(x) + <z, x'-x> - r/2 ||x'-x||^2 for z among the subgradient
@@ -113,13 +120,13 @@ def prox_regularity_test(model, base_point, anchor_z, eps, r_grid,
     base_point = np.asarray(base_point, dtype=float)
     anchor_z = np.asarray(anchor_z, dtype=float)
     f_base = evaluate(model, base_point)
-    pts = base_point + ball_lattice(model.dim, eps, sample_per_axis)
+    pts = base_point + ball_lattice(model.dim, eps, PROX_SAMPLE_PER_AXIS)
     triples = []
     for x in pts:
         fx = evaluate(model, x)
         if abs(fx - f_base) > eps:
             continue
-        gens = subdifferential_polytope(model, x, tau).generators
+        gens = subdifferential_polytope(model, x).generators
         for z in hull_point_candidates(gens):
             if np.linalg.norm(z - anchor_z) > eps:
                 continue
@@ -137,20 +144,21 @@ def prox_regularity_test(model, base_point, anchor_z, eps, r_grid,
             need = 2.0 * (fx + float(z @ (xp - x)) - fxp) / d2
             worst = max(worst, need)
     slack = 1e-10
-    for r in sorted(r_grid):
+    for r in R_GRID:
         if worst <= r + slack:
             return float(r)
     return None
 
 
-def quadratic_minorant_test(model, base_point, r_grid, box, sample_per_axis=21):
-    """Smallest R in r_grid with f >= f(base) - R/2 ||x-base||^2 on a dense
+def quadratic_minorant_test(model, base_point):
+    """Smallest R in R_GRID with f >= f(base) - R/2 ||x-base||^2 on a dense
     box sample; returns (alpha, R_hat) or None."""
     base_point = np.asarray(base_point, dtype=float)
     alpha = evaluate(model, base_point)
-    box = np.asarray(box, dtype=float).reshape(2, model.dim)
-    lo, hi = box
-    axes = [np.linspace(lo[i], hi[i], sample_per_axis) for i in range(model.dim)]
+    lo = base_point - MINORANT_BOX_HALF
+    hi = base_point + MINORANT_BOX_HALF
+    axes = [np.linspace(lo[i], hi[i], MINORANT_SAMPLE_PER_AXIS)
+            for i in range(model.dim)]
     grids = np.meshgrid(*axes, indexing="ij")
     pts = np.column_stack([g.ravel() for g in grids])
     worst = 0.0
@@ -160,7 +168,7 @@ def quadratic_minorant_test(model, base_point, r_grid, box, sample_per_axis=21):
             continue
         need = 2.0 * (alpha - evaluate(model, x)) / d2
         worst = max(worst, need)
-    for r in sorted(r_grid):
+    for r in R_GRID:
         if worst <= r + 1e-10:
             return alpha, float(r)
     return None

@@ -188,12 +188,17 @@ def l_value(ctx, u):
     return float(val)
 
 
-def grad_l(ctx, u, fd_step=None, membership_tol=1e-5, validate=True):
+# grad_l: relative difference step, and the hull distance it accepts.
+FD_STEP = 1e-5
+MEMBERSHIP_TOL = 1e-5
+
+
+def grad_l(ctx, u, validate=True):
     """Central finite-difference gradient of the Lagrangian, cross-validated
     by membership of (z_U(u), anchor_V') in the subdifferential hull at the
     selected point."""
     u = np.asarray(u, dtype=float)
-    step = fd_step if fd_step is not None else 1e-5 * (1.0 + np.linalg.norm(u))
+    step = FD_STEP * (1.0 + np.linalg.norm(u))
     g = np.zeros(ctx.dim_uprime)
     for i in range(ctx.dim_uprime):
         e = np.zeros(ctx.dim_uprime)
@@ -209,7 +214,7 @@ def grad_l(ctx, u, fd_step=None, membership_tol=1e-5, validate=True):
             world += ctx.vprime_basis @ ctx.anchor_vprime
         poly = subdifferential_polytope(ctx.model, point)
         dist = hull_distance(poly.generators, world)
-        if dist > membership_tol:
+        if dist > MEMBERSHIP_TOL:
             raise InconsistentGradient(
                 f"finite-difference gradient {g} lies {dist:.2e} from the hull",
                 fd_gradient=g, polytope_distance=dist)
@@ -233,11 +238,10 @@ def convexity_check(ctx, u_grid):
     return float(worst)
 
 
-def little_oh_check(ctx, radii, n_dirs=None):
+def little_oh_check(ctx, radii):
     """Per radius, the max over U' directions of ||v(u)||/||u||; decreasing
     ratios evidence v(u) = o(||u||)."""
-    k = ctx.dim_uprime
-    dirs = sphere_directions(k, n_dirs or (16 if k >= 2 else 2))
+    dirs = sphere_directions(ctx.dim_uprime, 16)
     out = []
     for r in radii:
         worst = 0.0
@@ -286,9 +290,9 @@ def common_selection_check(ctx, u_grid, tilt_mags=(-0.05, 0.0, 0.05)):
     return worst
 
 
-def lipschitz_gradient_bound(ctx, u_grid, fd_step=None):
+def lipschitz_gradient_bound(ctx, u_grid):
     """Max pairwise difference quotient of grad_l over the grid (finite for
     C^{1,1} Lagrangians); reported, not asserted."""
     nodes = [np.atleast_1d(np.asarray(u, float)) for u in u_grid]
-    grads = [grad_l(ctx, u, fd_step=fd_step, validate=False) for u in nodes]
+    grads = [grad_l(ctx, u, validate=False) for u in nodes]
     return max_difference_quotient(nodes, grads)

@@ -15,7 +15,7 @@ from .oracle import subdifferential_polytope
 from .solvers import hull_distance, in_hull, sphere_directions
 
 HULL_FEAS_TOL = 1e-8
-DEFAULT_RANK_TOL = 1e-8
+RANK_TOL = 1e-8
 
 
 @dataclass
@@ -54,14 +54,14 @@ class VUFrame:
     def anchor_v(self):
         return self.v_basis.T @ self.anchor
 
-    def validate(self, poly=None, tol=1e-10):
+    def validate(self, poly=None):
         """Orthogonality, V-span coverage of the generators, anchor feasibility."""
         if self.dim_u and self.dim_v:
             assert np.max(np.abs(self.u_basis.T @ self.v_basis)) <= 1e-12
         if poly is not None:
             shifted = poly.generators - self.anchor
             if self.dim_u:
-                assert np.max(np.abs(shifted @ self.u_basis), initial=0.0) <= tol
+                assert np.max(np.abs(shifted @ self.u_basis), initial=0.0) <= 1e-10
             assert hull_distance(poly.generators, self.anchor) <= HULL_FEAS_TOL
 
 
@@ -70,10 +70,10 @@ def relative_interior_point(poly):
     return np.mean(poly.generators, axis=0)
 
 
-def decompose(poly, anchor, rank_tol=DEFAULT_RANK_TOL, eps=1.0):
+def decompose(poly, anchor, eps=1.0):
     """Build the VU frame from a polytope and an anchor inside its hull.
 
-    V spans the shifted generators; singular values below rank_tol * sigma_max
+    V spans the shifted generators; singular values below RANK_TOL * sigma_max
     are treated as zero; U completes the orthonormal frame.
     """
     anchor = np.asarray(anchor, dtype=float)
@@ -84,7 +84,7 @@ def decompose(poly, anchor, rank_tol=DEFAULT_RANK_TOL, eps=1.0):
     n = shifted.shape[1]
     u, s, vt = np.linalg.svd(shifted, full_matrices=True)
     if s.size and s[0] > 0.0:
-        rank = int(np.sum(s > rank_tol * s[0]))
+        rank = int(np.sum(s > RANK_TOL * s[0]))
     else:
         rank = 0
     v_basis = vt[:rank].T
@@ -132,7 +132,11 @@ class DecompositionReport:
     witnesses: list                     # sampled u not in U with positive asymmetry
 
 
-def check_decomposition(model, frame, n_samples=100, tau=1e-9):
+# Directions of U sampled by check_decomposition.
+SUPPORT_SAMPLES = 100
+
+
+def check_decomposition(model, frame):
     """Numerical check of the two decomposition identities.
 
     (a) the polytope support function is linear (odd) along U directions,
@@ -141,10 +145,10 @@ def check_decomposition(model, frame, n_samples=100, tau=1e-9):
     (c) witnesses: sampled directions outside U where the support is
         genuinely sublinear.
     """
-    poly = subdifferential_polytope(model, frame.base_point, tau)
+    poly = subdifferential_polytope(model, frame.base_point)
     asym = 0.0
     if frame.dim_u:
-        for w in sphere_directions(frame.dim_u, n_samples):
+        for w in sphere_directions(frame.dim_u, SUPPORT_SAMPLES):
             u = frame.u_basis @ w
             asym = max(asym, abs(poly.support(u) + poly.support(-u)))
     misfit = 0.0
@@ -152,7 +156,7 @@ def check_decomposition(model, frame, n_samples=100, tau=1e-9):
         misfit = max(misfit, float(np.linalg.norm(
             frame.u_basis.T @ g - frame.anchor_u)))
     witnesses = []
-    for w in sphere_directions(frame.dim, min(n_samples, 32)):
+    for w in sphere_directions(frame.dim, 32):
         gap = poly.support(w) + poly.support(-w)
         in_u = frame.dim_u and np.linalg.norm(
             frame.u_basis @ (frame.u_basis.T @ w) - w) <= 1e-10
@@ -163,11 +167,15 @@ def check_decomposition(model, frame, n_samples=100, tau=1e-9):
                                witnesses=witnesses)
 
 
-def rel_interior_contains(poly, point, delta=1e-6, tol=HULL_FEAS_TOL):
+# The relative wiggle of rel_interior_contains along the affine hull.
+REL_INTERIOR_STEP = 1e-6
+
+
+def rel_interior_contains(poly, point):
     """point in rel-int co(generators): feasible, with wiggle room along the
     affine hull directions."""
     gens = poly.generators
-    if not in_hull(gens, point, tol):
+    if not in_hull(gens, point, HULL_FEAS_TOL):
         return False
     centroid = np.mean(gens, axis=0)
     shifted = gens - centroid
@@ -175,10 +183,11 @@ def rel_interior_contains(poly, point, delta=1e-6, tol=HULL_FEAS_TOL):
     if s.size == 0 or s[0] <= 1e-14:
         return True  # singleton hull
     span = vt[s > 1e-10 * s[0]]
-    scale = delta * (1.0 + float(np.max(np.abs(gens))))
+    scale = REL_INTERIOR_STEP * (1.0 + float(np.max(np.abs(gens))))
     for d in span:
         for sign in (1.0, -1.0):
-            if hull_distance(gens, point + sign * scale * d) > tol + scale * 1e-3:
+            if (hull_distance(gens, point + sign * scale * d)
+                    > HULL_FEAS_TOL + scale * 1e-3):
                 return False
     return True
 

@@ -22,7 +22,7 @@ def report(num, description, ok, detail=""):
 
 
 def test_criterion_01_subjet_closed_form(abs_diff):
-    agree, total = cli.abs_diff_rule_agreement(abs_diff, count=200)
+    agree, total = cli.abs_diff_rule_agreement(abs_diff)
     report(1, "subjet membership matches the sign rule",
            agree == total == 200, f"({agree}/{total})")
 
@@ -110,11 +110,9 @@ def test_criterion_06_lagrangian_convexity(apq_ctx, crossing_ctx):
 def test_criterion_07_conjugacy_identity(abs_plus_quad, crossing,
                                          apq_ctx, crossing_ctx):
     r1 = envelope.conjugacy_identity_check(
-        abs_plus_quad, apq_ctx.frame, np.linspace(-0.5, 0.5, 11),
-        resolution=401, ulag_ctx=apq_ctx)
+        apq_ctx, np.linspace(-0.5, 0.5, 11), resolution=401)
     r2 = envelope.conjugacy_identity_check(
-        crossing, crossing_ctx.frame, np.linspace(-0.05, 0.05, 5),
-        resolution=401, ulag_ctx=crossing_ctx)
+        crossing_ctx, np.linspace(-0.05, 0.05, 5), resolution=401)
     report(7, "conjugate of L equals the anchored conjugate (401 grids)",
            r1 <= 1e-3 and r2 <= 1e-3, f"(residuals {r1:.1e}, {r2:.1e})")
 
@@ -141,10 +139,8 @@ def test_criterion_09_chain_formula(crossing_trace):
 def test_criterion_10_lower_taylor(apq_trace, crossing_trace):
     margins = [manifold.taylor_lower_check(apq_trace),
                manifold.taylor_lower_check(crossing_trace)]
-    probes = [manifold.taylor_lower_check(apq_trace, inflate=1.0,
-                                          certify=False),
-              manifold.taylor_lower_check(crossing_trace, inflate=1.0,
-                                          certify=False)]
+    probes = [manifold.taylor_lower_check(apq_trace, inflate=1.0),
+              manifold.taylor_lower_check(crossing_trace, inflate=1.0)]
     ok = all(m >= -1e-9 for m in margins) and all(p < -1e-9 for p in probes)
     report(10, "lower Taylor margins certified and sharpness probe detected",
            ok, f"(margins={margins}, probes={probes})")
@@ -181,7 +177,7 @@ def test_criterion_12_appendix(abs_diff_component):
     lam = 0.5
     worst = 0.0
     for x in np.linspace(-2.0, 2.0, 100):
-        val, _ = subjets.moreau_envelope(ab, lam, np.array([x]))
+        val, _, _ = subjets.moreau_envelope(ab, lam, np.array([x]))
         closed = x * x / (2 * lam) if abs(x) <= lam else abs(x) - lam / 2
         worst = max(worst, abs(val - closed))
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from vulab import envelope as env
-from vulab import oracle, vu
+from vulab import oracle, ulagrangian, vu
 from vulab.errors import DimensionTooLarge
 
 
@@ -125,17 +125,16 @@ def test_biconjugate_reproduces_envelope():
 def test_conjugacy_identity(abs_plus_quad, crossing):
     poly = oracle.subdifferential_polytope(abs_plus_quad, np.zeros(2))
     frame = vu.decompose(poly, np.zeros(2), eps=1.0)
+    ctx = ulagrangian.ULagContext(model=abs_plus_quad, frame=frame)
     zs = np.linspace(-0.5, 0.5, 11)
-    resid = env.conjugacy_identity_check(abs_plus_quad, frame, zs,
-                                         resolution=201)
+    resid = env.conjugacy_identity_check(ctx, zs, resolution=201)
     assert resid <= 1e-3
     # both sides equal z^2/4 on |z| <= 0.5 (L(u) = u^2)
     ku = np.linspace(-1, 1, 201)
     left = np.max(0.5 * ku - ku ** 2)
     assert left == pytest.approx(0.5 ** 2 / 4.0, abs=1e-4)
     # z = 0 gives -min L = 0
-    resid0 = env.conjugacy_identity_check(abs_plus_quad, frame, [0.0],
-                                          resolution=201)
+    resid0 = env.conjugacy_identity_check(ctx, [0.0], resolution=201)
     assert resid0 <= 1e-6
 
 

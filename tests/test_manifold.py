@@ -85,9 +85,8 @@ def test_taylor_lower(apq_trace, crossing_trace):
     assert mf.taylor_lower_check(apq_trace) >= -1e-9
     assert mf.taylor_lower_check(crossing_trace) >= -1e-9
     # inflating Q beyond the true curvature must produce a violation
-    assert mf.taylor_lower_check(apq_trace, inflate=1.0, certify=False) < -1e-9
-    assert mf.taylor_lower_check(crossing_trace, inflate=1.0,
-                                 certify=False) < -1e-9
+    assert mf.taylor_lower_check(apq_trace, inflate=1.0) < -1e-9
+    assert mf.taylor_lower_check(crossing_trace, inflate=1.0) < -1e-9
 
 
 def test_dv_continuity(apq_trace, crossing_trace, crossing_trace_fine):

@@ -5,7 +5,7 @@ import pytest
 
 from vulab import oracle, subjets as sj, vu
 from vulab.errors import (EmptyBundle, LambdaTooLarge, NotASubspace,
-                          SingularHessian)
+                          SingularHessian, SolverBudgetExceeded)
 from vulab.solvers import _offset_lattice, sphere_directions
 
 from conftest import neg_norm_squared
@@ -40,29 +40,33 @@ def test_delta2_homogeneity():
         assert abs(scaled - t**2 * base) <= 0.05 * abs(scaled)
 
 
+def base_shell_trace(model, h):
+    """The ShellTrace along +h at the origin: the first shell pair of a
+    rank-1 query without probe sites."""
+    res, = sj.rank1_supports(model, np.zeros(2), np.zeros(2), [h], probes=[])
+    return res.shells[0][0]
+
+
 def test_dini_second(abs_diff):
     qi = oracle.builtin("quadratic(I2)")
-    tr = sj.dini_second(qi, np.zeros(2), np.zeros(2), np.array([1.0, 0.0]))
+    tr = base_shell_trace(qi, np.array([1.0, 0.0]))
     assert tr.estimate == pytest.approx(1.0, abs=1e-9)
-    tr = sj.dini_second(abs_diff, np.zeros(2), np.zeros(2), DIAG)
+    tr = base_shell_trace(abs_diff, DIAG)
     assert tr.estimate == pytest.approx(0.0, abs=1e-9)
-    tr = sj.dini_second(abs_diff, np.zeros(2), np.zeros(2),
-                        np.array([1.0, 0.0]))
-    assert tr.divergent(1e3)
+    tr = base_shell_trace(abs_diff, np.array([1.0, 0.0]))
+    np.testing.assert_array_equal(tr.ts, sj.SHELL_TS)
+    assert tr.divergent
     assert np.all(np.diff(tr.values[-4:]) > 0)  # trace grows without bound
 
 
 def test_rank1_support_examples(abs_diff, four_quadrant):
-    cfg = sj.RankOneConfig()
-    res = sj.rank1_support(abs_diff, np.zeros(2), np.zeros(2), DIAG, cfg)
-    assert not res.divergent and res.value == pytest.approx(0.0, abs=1e-9)
-    res = sj.rank1_support(abs_diff, np.zeros(2), np.zeros(2), ANTI, cfg)
-    assert res.divergent
-    cfg2 = sj.RankOneConfig()
-    for k in range(8):
-        ang = 2 * np.pi * k / 8
-        h = np.array([np.cos(ang), np.sin(ang)])
-        res = sj.rank1_support(four_quadrant, np.zeros(2), np.zeros(2), h, cfg2)
+    diag, anti = sj.rank1_supports(abs_diff, np.zeros(2), np.zeros(2),
+                                   [DIAG, ANTI])
+    assert not diag.divergent and diag.value == pytest.approx(0.0, abs=1e-9)
+    assert anti.divergent
+    ang = 2 * np.pi * np.arange(8) / 8
+    H = np.column_stack([np.cos(ang), np.sin(ang)])
+    for res in sj.rank1_supports(four_quadrant, np.zeros(2), np.zeros(2), H):
         assert res.divergent
 
 
@@ -125,15 +129,14 @@ def test_crossing_fast_track(crossing):
     assert vu.principal_angle(u2, np.array([[1.0], [0.0]])) <= 1e-8
 
 
-def test_not_a_subspace_without_attentive_probes(four_quadrant):
+def test_not_a_subspace_without_attentive_probes(four_quadrant, monkeypatch):
     """Base-point quotients alone see the fat finite cone |h2| <= |h1| of
     max(0, |y|-|x|); the closure check must flag it."""
-    cfg = sj.RankOneConfig(attentive=False)
+    monkeypatch.setattr(sj, "attentive_probes", lambda model, x, z: [])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         with pytest.raises(NotASubspace):
-            sj.second_order_component(four_quadrant, np.zeros(2), np.zeros(2),
-                                      cfg=cfg)
+            sj.second_order_component(four_quadrant, np.zeros(2), np.zeros(2))
 
 
 def test_limiting_hessians(abs_diff, crossing):
@@ -195,18 +198,30 @@ def test_tilt_criterion(abs_plus_quad, abs_diff):
 
 def test_moreau_envelope(abs_plus_quad):
     ab = oracle.builtin("huber_source_abs")
-    val, prox = sj.moreau_envelope(ab, 0.5, np.array([0.2]))
+    val, prox, approximate = sj.moreau_envelope(ab, 0.5, np.array([0.2]))
     assert val == pytest.approx(0.04, abs=1e-10)
-    assert abs(prox[0]) <= 1e-8
-    val, prox = sj.moreau_envelope(ab, 0.5, np.array([2.0]))
+    assert abs(prox[0]) <= 1e-8 and not approximate
+    val, prox, _ = sj.moreau_envelope(ab, 0.5, np.array([2.0]))
     assert val == pytest.approx(1.75, abs=1e-10)
     assert prox[0] == pytest.approx(1.5, abs=1e-8)
     qi = oracle.builtin("quadratic(I2)")
     x = np.array([0.6, -0.4])
-    val, _ = sj.moreau_envelope(qi, 1.0, x)
+    val, _, _ = sj.moreau_envelope(qi, 1.0, x)
     assert val == pytest.approx(float(x @ x) / 4.0, abs=1e-10)
     with pytest.raises(LambdaTooLarge):
         sj.moreau_envelope(neg_norm_squared(), 1.0, np.zeros(2))
+
+
+def test_prox_points_carry_the_budget_flag(four_quadrant):
+    """A prox solve whose polish hits its move cap (on the x1 axis of
+    four_quadrant_max) says so with its points; an exact one does not."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SolverBudgetExceeded)
+        _, _, capped = sj.prox_points(four_quadrant, 0.5, np.array([0.3, 0.0]))
+    assert capped
+    _, _, capped = sj.prox_points(oracle.builtin("huber_source_abs"), 0.5,
+                                  np.array([0.3]))
+    assert not capped
 
 
 @pytest.mark.parametrize("name", ["huber_source_abs", "abs_plus_quad",
@@ -219,7 +234,7 @@ def test_moreau_value_matches_scalar_form(name):
     lam = 0.5
     for s in (0.3, -0.2):
         x = model.meta["default_base_point"] + s * np.arange(1, model.dim + 1)
-        val, prox = sj.moreau_envelope(model, lam, x)
+        val, prox, _ = sj.moreau_envelope(model, lam, x)
         scalar = (oracle.evaluate(model, prox)
                   + float(np.sum((x - prox) ** 2)) / (2.0 * lam))
         assert repr(val) == repr(scalar)
@@ -318,37 +333,37 @@ def _ref_min_over_direction_ball(model, x, z, h, t, radius, refine, fx):
     return best
 
 
-def _ref_dini_second(model, x, z, h, ts, ball_radius, cfg):
+def _ref_dini_second(model, x, z, h, ts, ball_radius):
     fx = oracle.evaluate(model, x)
     vals = np.empty(len(ts))
     for i, t in enumerate(ts):
-        r = ball_radius if ball_radius is not None else cfg.dir_ball * t
+        r = ball_radius if ball_radius is not None else sj.DIR_BALL * t
         vals[i] = _ref_min_over_direction_ball(model, x, z, h, t, r,
-                                               cfg.refine, fx)
+                                               sj.REFINE, fx)
     return sj.ShellTrace(ts=np.array(ts), values=vals)
 
 
-def _ref_rank1_support(model, x, z, h, cfg, probes):
-    ts = sj.default_t_grid()
+def _ref_rank1_support(model, x, z, h, probes):
+    ts = sj.SHELL_TS
     sites = [(x, z, ts, None)] + [
-        (xp, zp, rho * np.asarray(cfg.probe_t_fracs), cfg.probe_ball_scale * rho)
+        (xp, zp, rho * np.asarray(sj.PROBE_T_FRACS), sj.PROBE_BALL_SCALE * rho)
         for xp, zp, rho in probes]
     results = []
     for xs, zs, t, ball in sites:
-        tp = _ref_dini_second(model, xs, zs, h, t, ball, cfg)
-        tm = _ref_dini_second(model, xs, zs, -h, t, ball, cfg)
-        results.append(sj._symmetric_estimate(tp, tm, cfg))
+        tp = _ref_dini_second(model, xs, zs, h, t, ball)
+        tm = _ref_dini_second(model, xs, zs, -h, t, ball)
+        results.append(sj._symmetric_estimate(tp, tm))
     if any(r[0] for r in results):
         return None, [r[2] for r in results]
     return max(r[1] for r in results), [r[2] for r in results]
 
 
-def _ref_min_margin(model, cand, cfg):
+def _ref_min_margin(model, cand):
     fx = oracle.evaluate(model, cand.x)
-    dirs = sphere_directions(len(cand.x), cfg.n_dirs)
-    margins = np.empty((len(cfg.radii), len(dirs)))
-    for si, r in enumerate(cfg.radii):
-        eta = cfg.eta_coeff * np.sqrt(r)
+    dirs = sphere_directions(len(cand.x), 64)
+    margins = np.empty((len(sj.MEMBERSHIP_RADII), len(dirs)))
+    for si, r in enumerate(sj.MEMBERSHIP_RADII):
+        eta = sj.ETA_COEFF * np.sqrt(r)
         for di, d in enumerate(dirs):
             step = r * d
             raw = (oracle.evaluate(model, cand.x + step) - fx
@@ -367,18 +382,17 @@ def test_second_order_layer_matches_scalar_reference(name):
     model = oracle.builtin(name)
     x = model.meta["default_base_point"]
     z = np.zeros(model.dim)
-    cfg = sj.RankOneConfig()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        _, profile = sj.second_order_component(model, x, z, cfg=cfg)
-    probes = sj.attentive_probes(model, x, z, cfg)
+        _, profile = sj.second_order_component(model, x, z)
+    probes = sj.attentive_probes(model, x, z)
     grid = profile.directions
     searched = [i for i in range(len(grid))
                 if not any(np.linalg.norm(grid[j] + grid[i]) <= 1e-12
                            for j in range(i))]
-    batched = sj.rank1_supports(model, x, z, grid[searched], cfg, probes)
+    batched = sj.rank1_supports(model, x, z, grid[searched], probes)
     for i, res in zip(searched, batched):
-        value, shells = _ref_rank1_support(model, x, z, grid[i], cfg, probes)
+        value, shells = _ref_rank1_support(model, x, z, grid[i], probes)
         assert profile.values[i] == value
         assert (None if res.divergent else res.value) == value
         assert len(res.shells) == len(shells)
@@ -386,11 +400,10 @@ def test_second_order_layer_matches_scalar_reference(name):
             for g, r in zip(got, ref):
                 np.testing.assert_array_equal(g.ts, r.ts)
                 np.testing.assert_array_equal(g.values, r.values)
-    mcfg = sj.MembershipConfig()
     for Q in (-10.0 * np.eye(model.dim), np.eye(model.dim)):
         cand = sj.JetCandidate(x=x, z=z, Q=Q)
-        got = sj.subjet_membership(model, cand, mcfg).min_margin
-        assert repr(got) == repr(_ref_min_margin(model, cand, mcfg))
+        got = sj.subjet_membership(model, cand).min_margin
+        assert repr(got) == repr(_ref_min_margin(model, cand))
 
 
 @pytest.mark.parametrize("name", ["abs_diff", "quadratic(I2)"])
@@ -435,23 +448,23 @@ def test_appendix_checks_batch_their_support_calls(name, batches):
     assert (repr(sj.para_convexity_check(profile, 0.0))
             == repr(sj.para_convexity_check(single, 0.0)))
     assert len(calls) == batches and all(c > 1 for c in calls)
-    ref = max(sj.rank1_support(model, x, z, h / np.linalg.norm(h)).value
+    ref = max(sj.rank1_supports(model, x, z, h / np.linalg.norm(h))[0].value
               for h in (u2 @ w for w in sphere_directions(u2.shape[1], 16)))
     assert repr(sj.uniform_bound_check(model, x, z, u2)) == repr(ref)
 
 
 def test_dini_second_keeps_shell_radii(abs_plus_quad):
-    """A fixed ball_radius and the shrinking dir_ball * t radius both give
-    the one-point search path, and a given f(x) does not change a
-    quotient."""
+    """A fixed ball radius (a probe site's) and the shrinking DIR_BALL * t
+    radius (the base point's) both give the one-point search path, and a
+    given f(x) does not change a quotient."""
     x = np.array([0.2, -0.1])
     z = oracle.subdifferential_polytope(abs_plus_quad, x).generators[0]
-    ts = sj.default_t_grid()
-    cfg = sj.RankOneConfig()
+    ts = sj.SHELL_TS
     for ball in (None, 0.05):
-        got = sj.dini_second(abs_plus_quad, x, z, ANTI, t_grid=ts,
-                             ball_radius=ball)
-        ref = _ref_dini_second(abs_plus_quad, x, z, ANTI, ts, ball, cfg)
+        radii = sj.DIR_BALL * ts if ball is None else np.full(len(ts), ball)
+        got, = sj._shell_traces(abs_plus_quad, [(x, z)],
+                                [(0, ANTI, ts, radii)])
+        ref = _ref_dini_second(abs_plus_quad, x, z, ANTI, ts, ball)
         np.testing.assert_array_equal(got.values, ref.values)
     fx = oracle.evaluate(abs_plus_quad, x)
     for t in ts:
@@ -459,17 +472,19 @@ def test_dini_second_keeps_shell_radii(abs_plus_quad):
                 == sj.delta2(abs_plus_quad, x, z, t, ANTI))
 
 
-def test_rank1_config_reused_at_two_base_points(abs_plus_quad):
-    """A config reused at another (x, z) probes near that point, not near the
-    first one: off the kink, abs_plus_quad is smooth with Hessian 2I."""
-    cfg = sj.RankOneConfig()
-    at_kink = sj.rank1_support(abs_plus_quad, np.zeros(2), np.zeros(2), ANTI,
-                               cfg)
+def test_rank1_probes_follow_the_base_point(abs_plus_quad):
+    """A query at a second (x, z) after one at the kink probes near the
+    second point, not near the first: off the kink, abs_plus_quad is smooth
+    with Hessian 2I, and its probe sites are those of attentive_probes at
+    that point."""
+    at_kink, = sj.rank1_supports(abs_plus_quad, np.zeros(2), np.zeros(2),
+                                 ANTI)
     assert at_kink.divergent
     x = np.array([0.5, -0.5])
     z = oracle.subdifferential_polytope(abs_plus_quad, x).generators[0]
-    reused = sj.rank1_support(abs_plus_quad, x, z, ANTI, cfg)
-    fresh = sj.rank1_support(abs_plus_quad, x, z, ANTI, sj.RankOneConfig())
-    assert not reused.divergent
-    assert reused.value == fresh.value == pytest.approx(2.0, abs=1e-6)
-    assert len(reused.shells) == len(fresh.shells)
+    later, = sj.rank1_supports(abs_plus_quad, x, z, ANTI)
+    given, = sj.rank1_supports(abs_plus_quad, x, z, ANTI,
+                               sj.attentive_probes(abs_plus_quad, x, z))
+    assert not later.divergent
+    assert later.value == given.value == pytest.approx(2.0, abs=1e-6)
+    assert len(later.shells) == len(given.shells)

@@ -240,36 +240,30 @@ def test_convexification_consistency(abs_plus_quad):
 
 
 def test_prox_regularity(abs_plus_quad, abs_diff, crossing):
-    grid = [0.0, 0.5, 1.0, 1.5, 2.0, 4.0]
-    assert tilt.prox_regularity_test(abs_diff, np.zeros(2), np.zeros(2), 0.5,
-                                     grid) == 0.0
+    assert tilt.prox_regularity_test(abs_diff, np.zeros(2), np.zeros(2),
+                                     0.5) == 0.0
     assert tilt.prox_regularity_test(abs_plus_quad, np.zeros(2), np.zeros(2),
-                                     0.5, grid) == 0.0
+                                     0.5) == 0.0
     base = crossing.meta["default_base_point"]
-    assert tilt.prox_regularity_test(crossing, base, np.zeros(2), 0.3,
-                                     grid) == 0.0
+    assert tilt.prox_regularity_test(crossing, base, np.zeros(2), 0.3) == 0.0
     # f(x) = -||x||^2 satisfies the inequality exactly at r = 2
     neg = neg_norm_squared()
-    assert tilt.prox_regularity_test(neg, np.zeros(2), np.zeros(2), 0.5,
-                                     grid) == 2.0
+    assert tilt.prox_regularity_test(neg, np.zeros(2), np.zeros(2),
+                                     0.5) == 2.0
 
 
 def test_quadratic_minorant(abs_diff):
-    grid = [0.0, 0.5, 1.0, 1.5, 2.0, 4.0]
-    box = [[-2.0, -2.0], [2.0, 2.0]]
-    assert tilt.quadratic_minorant_test(abs_diff, np.zeros(2), grid, box) == \
-        (0.0, 0.0)
+    assert tilt.quadratic_minorant_test(abs_diff, np.zeros(2)) == (0.0, 0.0)
     assert tilt.quadratic_minorant_test(oracle.builtin("quadratic(I2)"),
-                                        np.zeros(2), grid, box) == (0.0, 0.0)
+                                        np.zeros(2)) == (0.0, 0.0)
     neg = neg_norm_squared()
-    alpha, r_hat = tilt.quadratic_minorant_test(neg, np.zeros(2), grid, box)
+    alpha, r_hat = tilt.quadratic_minorant_test(neg, np.zeros(2))
     assert alpha == 0.0 and r_hat == 2.0
 
 
 def test_quadratic_minorant_one_dimensional():
     ab = oracle.builtin("huber_source_abs")
-    out = tilt.quadratic_minorant_test(ab, np.zeros(1), [0.0, 1.0],
-                                       [[-2.0], [2.0]])
+    out = tilt.quadratic_minorant_test(ab, np.zeros(1))
     assert out == (0.0, 0.0)
 
 
