@@ -28,6 +28,10 @@ ANCHORS = ("auto", "zero", "centroid")
 RADII_KEYS = ("eps", "eps_v", "delta", "tilt_radius")
 GRID_KEYS = ("resolution", "conjugate_resolution", "envelope_resolution",
              "moreau_lambda")
+# Smallest node count per axis of each grid: the lagrangian U'-grid needs a
+# midpoint for its convexity check, the others two nodes for a spacing.
+GRID_MIN_NODES = {"resolution": 3, "conjugate_resolution": 2,
+                  "envelope_resolution": 2}
 
 
 @dataclass
@@ -61,6 +65,10 @@ class ExperimentConfig:
                         or not 0.0 < val < np.inf):
                     raise ValueError(f"{name}.{key} must be a positive "
                                      f"number, got {val!r}")
+                low = GRID_MIN_NODES.get(key) if name == "grids" else None
+                if low is not None and (val != int(val) or val < low):
+                    raise ValueError(f"grids.{key} must be an integer >= "
+                                     f"{low}, got {val!r}")
 
     def to_dict(self):
         return {"problem": self.problem, "base_point": self.base_point,
@@ -236,6 +244,7 @@ class Runner:
     def run_lagrangian(self):
         frame = self.frame
         ctx = ulagrangian.ULagContext(model=self.model, frame=frame,
+                                      uprime_basis=frame.u_basis,
                                       eps_v=self.radii["eps_v"])
         k = ctx.dim_uprime
         grid = list(ball_lattice(k, self.radii["delta"],

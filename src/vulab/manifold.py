@@ -5,7 +5,7 @@ second-order component.  Zero-dimensional components degenerate to the single
 node u = 0 and every check passes vacuously rather than being skipped.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +27,6 @@ class ManifoldTrace:
     dv_values: np.ndarray      # (m, n_v, k)
     boundary_flags: np.ndarray # (m,) bool
     resolution: int
-    meta: dict = field(default_factory=dict)
 
     @property
     def dim_u(self):

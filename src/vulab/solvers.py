@@ -1,4 +1,5 @@
-"""Deterministic inner solvers: lattices, ball-constrained multistart, hull geometry.
+"""Deterministic inner solvers: lattices, exact and multistart ball
+minimization, hull geometry.
 
 Everything here is seedless.  Start points, probe directions and polish steps
 come from fixed lattices so repeated runs produce identical bytes.
@@ -299,6 +300,103 @@ def line_minimize(branches, objective, radius):
                                        radius)
     T = np.array(cands)[:, None]
     return BallMinimizeResult(points=T, values=objective(T))
+
+
+def _quadratic_coefficients(pieces, dim):
+    """(A, b) of the sum of quadratic and affine pieces, up to its constant,
+    with A symmetrized (eigh reads one triangle)."""
+    A, b = np.zeros((dim, dim)), np.zeros(dim)
+    for p in pieces:
+        if p.kind == "quadratic":
+            A, b = A + p.A, b + p.b
+        else:
+            b = b + p.a
+    return 0.5 * (A + A.T), b
+
+
+def _eigen_weights(g, d, s):
+    """-g / (d + s), with a (positive) zero where g is zero.
+
+    With A = Q diag(lam) Q^T and g = Q^T b, Q w is the step of
+    (A + mu I) x = -b: d = lam and s = 0 give -A^-1 b, and d = lam - lam_min
+    with s = mu + lam_min give every mu, written so that d + s does not
+    cancel near the hard case."""
+    return np.divide(-g, d + s, out=np.zeros_like(g), where=g != 0.0)
+
+
+# Bisection steps of the boundary root.  A step halves the bracket, and no
+# bracket of doubles survives this many halvings, so the loop always ends
+# first on two adjacent doubles.
+ROOT_MAX_STEPS = 2100
+
+
+def _boundary_root(Q, g, d, s_min, radius):
+    """The step of the boundary root mu of ||(A + mu I)^-1 b|| = radius,
+    found as a shift s = mu + lam_min > s_min, or None when the step at
+    s_min already lies in the ball.  Bisection keeps ||x(hi)|| <= radius and
+    returns x(hi)."""
+    def step_norm(s):
+        w = _eigen_weights(g, d, s)
+        return np.sqrt(np.vecdot(w, w))
+
+    if not np.any((g != 0.0) & (d + s_min == 0.0)) and \
+            step_norm(s_min) <= radius:
+        return None
+    # ||x(s)|| <= ||g|| / s, so the root lies below ||g|| / radius
+    lo, hi = s_min, 2.0 * float(np.sqrt(np.vecdot(g, g))) / radius
+    for _ in range(ROOT_MAX_STEPS):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if step_norm(mid) > radius:
+            lo = mid
+        else:
+            hi = mid
+    return Q @ _eigen_weights(g, d, hi)
+
+
+def quadratic_ball_minimize(branches, objective, dim, radius):
+    """Exact minimization over ||v|| <= radius of an objective covered by
+    branches (max_pieces, sum_pieces) of quadratic and affine pieces with at
+    most one max-piece each.
+
+    Each branch is then one quadratic 1/2 v^T A v + b^T v + c, and its
+    global minimizers over the ball are the v = -(A + mu I)^-1 b with
+    mu >= 0, A + mu I psd and mu (radius - ||v||) = 0 (More & Sorensen
+    1983).  From A = Q diag(lam) Q^T the candidates are: v = 0, for the
+    smallest-norm tie rule; -A^-1 b when lam_min > 0 and it lies in the
+    ball; the boundary root mu > max(0, -lam_min); and in the hard case,
+    where lam_min <= 0, b has no component on its eigenvectors and the
+    pseudo-inverse step x lies in the ball, x +- tau q on the sphere for
+    each such eigenvector q.  Every candidate is valued by the batched
+    `objective`, so a set-valued argmin shows as several points."""
+    cands = [np.zeros(dim)]
+    for max_pieces, sum_pieces in branches:
+        A, b = _quadratic_coefficients(max_pieces + sum_pieces, dim)
+        lam, Q = np.linalg.eigh(A)
+        g = Q.T @ b
+        if lam[0] > 0.0:
+            x = Q @ _eigen_weights(g, lam, 0.0)
+            if np.linalg.norm(x) <= radius:
+                cands.append(x)
+        d = lam - lam[0]
+        x = _boundary_root(Q, g, d, max(lam[0], 0.0), radius)
+        if x is not None:
+            cands.append(x)
+        # the eigenvalues within rounding of lam_min, and whether b is
+        # within rounding of orthogonal to their eigenvectors
+        tie = 1e-12 * (1.0 + float(np.max(np.abs(lam))))
+        low = d <= tie
+        flat = np.abs(g[low]) <= 1e-12 * (1.0 + np.linalg.norm(b))
+        if lam[0] <= tie and flat.all():
+            x = Q @ _eigen_weights(np.where(low, 0.0, g), d, 0.0)
+            tau2 = radius * radius - float(np.vecdot(x, x))
+            if tau2 >= 0.0:
+                tau = np.sqrt(tau2)
+                for q in Q[:, low].T:
+                    cands += [x + tau * q, x - tau * q]
+    V = np.array(cands)
+    return BallMinimizeResult(points=V, values=objective(V))
 
 
 def cluster_minimizers(points, values, cluster_tol, sep_tol):

@@ -8,7 +8,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .oracle import AffinePiece, evaluate, subdifferential_polytope
+from .oracle import (AffinePiece, evaluate, evaluate_many,
+                     subdifferential_polytope)
 from .solvers import (ball_lattice, hull_point_candidates, in_hull,
                       max_difference_quotient, pair_differences)
 from .ulagrangian import argmin_on_ball
@@ -117,13 +118,27 @@ def prox_regularity_test(model, base_point, anchor_z, eps):
     f(x') >= f(x) + <z, x'-x> - r/2 ||x'-x||^2 for z among the subgradient
     generators at x with ||z - anchor_z|| <= eps.
     """
+    worst = _prox_worst(model, base_point, anchor_z, eps)
+    if worst is None:
+        return None
+    slack = 1e-10
+    for r in R_GRID:
+        if worst <= r + slack:
+            return float(r)
+    return None
+
+
+def _prox_worst(model, base_point, anchor_z, eps):
+    """Largest r the proximal inequality needs over the sampled triples, or
+    None without an f-attentive triple.  The sample is valued by one
+    evaluate_many call."""
     base_point = np.asarray(base_point, dtype=float)
     anchor_z = np.asarray(anchor_z, dtype=float)
     f_base = evaluate(model, base_point)
     pts = base_point + ball_lattice(model.dim, eps, PROX_SAMPLE_PER_AXIS)
+    F = evaluate_many(model, pts)
     triples = []
-    for x in pts:
-        fx = evaluate(model, x)
+    for x, fx in zip(pts, F):
         if abs(fx - f_base) > eps:
             continue
         gens = subdifferential_polytope(model, x).generators
@@ -134,25 +149,29 @@ def prox_regularity_test(model, base_point, anchor_z, eps):
     if not triples:
         return None
     worst = -np.inf
-    for xp in pts:
-        fxp = evaluate(model, xp)
-        for x, fx, z in triples:
-            d2 = float(np.sum((xp - x) ** 2))
-            if d2 < 1e-20:
-                continue
-            # smallest r validating this triple: 2*(f(x)+<z,x'-x>-f(x'))/||x'-x||^2
-            need = 2.0 * (fx + float(z @ (xp - x)) - fxp) / d2
-            worst = max(worst, need)
-    slack = 1e-10
-    for r in R_GRID:
-        if worst <= r + slack:
-            return float(r)
-    return None
+    for x, fx, z in triples:
+        D = pts - x
+        d2 = np.sum(D ** 2, axis=1)
+        keep = d2 >= 1e-20
+        # smallest r validating this triple: 2*(f(x)+<z,x'-x>-f(x'))/||x'-x||^2
+        need = 2.0 * (fx + np.vecdot(D[keep], z) - F[keep]) / d2[keep]
+        worst = max(worst, float(np.max(need, initial=-np.inf)))
+    return worst
 
 
 def quadratic_minorant_test(model, base_point):
     """Smallest R in R_GRID with f >= f(base) - R/2 ||x-base||^2 on a dense
     box sample; returns (alpha, R_hat) or None."""
+    alpha, worst = _minorant_worst(model, base_point)
+    for r in R_GRID:
+        if worst <= r + 1e-10:
+            return alpha, float(r)
+    return None
+
+
+def _minorant_worst(model, base_point):
+    """(f(base), the largest R the minorant needs over the box sample, at
+    least 0), with the sample valued by one evaluate_many call."""
     base_point = np.asarray(base_point, dtype=float)
     alpha = evaluate(model, base_point)
     lo = base_point - MINORANT_BOX_HALF
@@ -161,17 +180,10 @@ def quadratic_minorant_test(model, base_point):
             for i in range(model.dim)]
     grids = np.meshgrid(*axes, indexing="ij")
     pts = np.column_stack([g.ravel() for g in grids])
-    worst = 0.0
-    for x in pts:
-        d2 = float(np.sum((x - base_point) ** 2))
-        if d2 < 1e-20:
-            continue
-        need = 2.0 * (alpha - evaluate(model, x)) / d2
-        worst = max(worst, need)
-    for r in R_GRID:
-        if worst <= r + 1e-10:
-            return alpha, float(r)
-    return None
+    d2 = np.sum((pts - base_point) ** 2, axis=1)
+    keep = d2 >= 1e-20
+    need = 2.0 * (alpha - evaluate_many(model, pts[keep])) / d2[keep]
+    return alpha, max(0.0, float(np.max(need, initial=0.0)))
 
 
 def strict_order2_test(model, x, z, gamma, beta_grid, sample_per_axis=9):

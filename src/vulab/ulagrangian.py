@@ -16,7 +16,7 @@ from .oracle import (AffinePiece, evaluate, evaluate_many,
                      subdifferential_polytope)
 from .solvers import (cluster_minimizers, hull_distance, line_minimize,
                       max_difference_quotient, minimize_branches,
-                      sphere_directions)
+                      quadratic_ball_minimize, sphere_directions)
 from .vu import principal_angle
 
 
@@ -36,20 +36,16 @@ class ULagContext:
 
     model: object
     frame: object
-    uprime_basis: np.ndarray = None   # defaults to the frame U basis
-    eps_v: float = None               # inner V'-ball radius, defaults frame.eps
+    uprime_basis: np.ndarray          # a subspace of the frame's U
+    eps_v: float                      # inner V'-ball radius
     _cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
-        if self.uprime_basis is None:
-            self.uprime_basis = self.frame.u_basis
         self.uprime_basis = np.atleast_2d(np.asarray(self.uprime_basis, float))
         if (self.uprime_basis.size and self.frame.dim_u
                 and principal_angle(self.uprime_basis, self.frame.u_basis) > 1e-10
                 and not self._contained_in_u()):
             raise VULabError("U' basis is not contained in the U-space of the frame")
-        if self.eps_v is None:
-            self.eps_v = self.frame.eps
         self.vprime_basis = _complement(self.uprime_basis, self.frame.dim)
         self.anchor_vprime = self.vprime_basis.T @ self.frame.anchor
 
@@ -89,12 +85,13 @@ def argmin_on_ball(model, base, M, piece, radius):
     """Minimizers of v -> f(base + M v) + piece(v) over ||v|| <= radius.
 
     The model's branch cover is restricted to the slice base + span(M) and
-    `piece` is added to every branch.  When M has one column and every
-    restricted piece of a structured model is a scalar quadratic or affine,
-    every candidate minimizer is known in closed form
-    (solvers.line_minimize); custom branch covers only describe their
-    model's value oracle, so they and all other problems take the SLSQP
-    multistart with polish of solvers.minimize_branches.
+    `piece` is added to every branch.  A structured model whose pieces are
+    all quadratic or affine is solved exactly: by solvers.line_minimize
+    when M has one column, and by solvers.quadratic_ball_minimize when
+    every branch has at most one max-piece, so each branch is one
+    quadratic.  Custom branch covers only describe their model's value
+    oracle, so they and all other problems take the SLSQP multistart with
+    polish of solvers.minimize_branches.
 
     Returns (points, best, approximate): the near-optimal points, pairwise
     1e-6 * radius apart, smallest norm first; the best value; and whether a
@@ -106,10 +103,13 @@ def argmin_on_ball(model, base, M, piece, radius):
         branches = [([p.restrict(base, M) for p in mp],
                      [p.restrict(base, M) for p in sp] + [piece])
                     for mp, sp in branches]
-    if (M.shape[1] == 1 and model.kind != "custom"
-            and all(p.kind in ("quadratic", "affine")
-                    for mp, sp in branches for p in mp + sp)):
+    structured = model.kind != "custom" and all(
+        p.kind in ("quadratic", "affine") for mp, sp in branches
+        for p in mp + sp)
+    if structured and M.shape[1] == 1:
         res = line_minimize(branches, objective, radius)
+    elif structured and all(len(mp) <= 1 for mp, _ in branches):
+        res = quadratic_ball_minimize(branches, objective, M.shape[1], radius)
     else:
         res = minimize_branches(branches, objective, np.zeros(M.shape[1]),
                                 radius)

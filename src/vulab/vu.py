@@ -54,15 +54,15 @@ class VUFrame:
     def anchor_v(self):
         return self.v_basis.T @ self.anchor
 
-    def validate(self, poly=None):
-        """Orthogonality, V-span coverage of the generators, anchor feasibility."""
+    def validate(self, poly):
+        """Orthogonality, V-span coverage of the generators of poly, anchor
+        feasibility."""
         if self.dim_u and self.dim_v:
             assert np.max(np.abs(self.u_basis.T @ self.v_basis)) <= 1e-12
-        if poly is not None:
-            shifted = poly.generators - self.anchor
-            if self.dim_u:
-                assert np.max(np.abs(shifted @ self.u_basis), initial=0.0) <= 1e-10
-            assert hull_distance(poly.generators, self.anchor) <= HULL_FEAS_TOL
+        shifted = poly.generators - self.anchor
+        if self.dim_u:
+            assert np.max(np.abs(shifted @ self.u_basis), initial=0.0) <= 1e-10
+        assert hull_distance(poly.generators, self.anchor) <= HULL_FEAS_TOL
 
 
 def relative_interior_point(poly):

@@ -35,6 +35,14 @@ def crossing_selection(u):
     return (SQRT5 - np.sqrt(5.0 - 4.0 * u**2)) / 2.0
 
 
+def frame_context(model, frame, uprime_basis=None, eps_v=None):
+    """ULagContext on the frame's own U basis and eps unless given."""
+    return ulagrangian.ULagContext(
+        model=model, frame=frame,
+        uprime_basis=frame.u_basis if uprime_basis is None else uprime_basis,
+        eps_v=frame.eps if eps_v is None else eps_v)
+
+
 def neg_norm_squared():
     """Custom concave model f(x) = -||x||^2 with its exact minorant."""
     return oracle.FunctionModel(
@@ -74,13 +82,13 @@ def _zero_anchor_frame(model, eps):
 @pytest.fixture(scope="session")
 def crossing_ctx(crossing):
     frame = _zero_anchor_frame(crossing, eps=0.3)
-    return ulagrangian.ULagContext(model=crossing, frame=frame)
+    return frame_context(model=crossing, frame=frame)
 
 
 @pytest.fixture(scope="session")
 def apq_ctx(abs_plus_quad):
     frame = _zero_anchor_frame(abs_plus_quad, eps=1.0)
-    return ulagrangian.ULagContext(model=abs_plus_quad, frame=frame)
+    return frame_context(model=abs_plus_quad, frame=frame)
 
 
 @pytest.fixture(scope="session")

@@ -12,7 +12,7 @@ import numpy as np
 from vulab import cli, envelope, manifold, oracle, subjets, tilt, vu
 from vulab import ulagrangian as ug
 
-from conftest import golden_min, neg_norm_squared
+from conftest import frame_context, golden_min, neg_norm_squared
 
 
 def report(num, description, ok, detail=""):
@@ -90,8 +90,8 @@ def test_criterion_05_selection_little_oh(crossing_ctx):
 def test_criterion_06_lagrangian_convexity(apq_ctx, crossing_ctx):
     qi = oracle.builtin("quadratic(I2)")
     poly = oracle.subdifferential_polytope(qi, np.zeros(2))
-    qi_ctx = ug.ULagContext(model=qi, frame=vu.decompose(poly, np.zeros(2),
-                                                         eps=1.0))
+    qi_ctx = frame_context(model=qi, frame=vu.decompose(poly, np.zeros(2),
+                                                        eps=1.0))
     from vulab.solvers import cube_lattice
     cases = [
         (apq_ctx, [np.array([t]) for t in np.linspace(-0.25, 0.25, 41)]),

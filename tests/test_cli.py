@@ -14,7 +14,7 @@ import pytest
 from vulab import cli, ulagrangian
 from vulab.errors import BoundaryActive, SolverBudgetExceeded
 
-from conftest import crossing_selection
+from conftest import crossing_selection, frame_context
 
 
 def run_campaign(problem, campaign, out, **kwargs):
@@ -188,14 +188,11 @@ def test_lagrangian_selection_little_oh(tmp_path, problem):
     assert "selection_little_oh" in statuses
 
 
-@pytest.mark.parametrize("problem", ["quadratic(-I)", "four_quadrant_max"])
+@pytest.mark.parametrize("problem", ["four_quadrant_max"])
 def test_tilt_test_capped_polish_exits_inconclusive(tmp_path, problem):
-    """Both used to hang in the polish; its move cap now makes the tilt
-    verdict inconclusive, so the run exits 2. On quadratic(-I) the manifold
-    precondition then reads inconclusive too, not skipped."""
-    campaign = ["tilt-test"] + (["manifold"] if problem == "quadratic(-I)"
-                                else [])
-    config = cli.ExperimentConfig(problem=problem, campaign=campaign,
+    """It used to hang in the polish; its move cap now makes the tilt
+    verdict inconclusive, so the run exits 2."""
+    config = cli.ExperimentConfig(problem=problem, campaign=["tilt-test"],
                                   output_dir=str(tmp_path))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SolverBudgetExceeded)
@@ -205,12 +202,50 @@ def test_tilt_test_capped_polish_exits_inconclusive(tmp_path, problem):
     assert checks["tilt_verdict_decisive"]["status"] == "inconclusive"
     assert all(c["status"] == "pass" for name, c in checks.items()
                if name != "tilt_verdict_decisive")
-    if "manifold" in campaign:
-        check, = manifest["campaigns"]["manifold"]["checks"]
-        assert check["name"] == "tilt_stable_base"
-        assert check["status"] == "inconclusive"
-        assert check["value"] == "inconclusive"
-        assert "inconclusive" in check["detail"]["reason"]
+
+
+def test_manifold_inconclusive_tilt_verdict_exits_inconclusive(tmp_path,
+                                                               monkeypatch):
+    """A tilt verdict left inconclusive by a solver budget leaves the
+    manifold precondition inconclusive, not skipped, and the run exits 2."""
+    from vulab import tilt
+    verdict = tilt.StabilityVerdict(stable=False, lipschitz_estimate=1.0,
+                                    witness=None, grid_radius=0.1,
+                                    status="inconclusive")
+    monkeypatch.setattr(tilt, "tilt_stability_test",
+                        lambda *args: verdict)
+    config = cli.ExperimentConfig(problem="abs_plus_quad",
+                                  campaign=["manifold"],
+                                  output_dir=str(tmp_path))
+    manifest, code = cli.Runner(config).run()
+    assert code == 2 and manifest["overall"] == "inconclusive"
+    check, = manifest["campaigns"]["manifold"]["checks"]
+    assert check["name"] == "tilt_stable_base"
+    assert check["status"] == "inconclusive"
+    assert check["value"] == "inconclusive"
+    assert "inconclusive" in check["detail"]["reason"]
+
+
+def test_tilt_test_concave_quadratic_is_decisively_unstable(tmp_path):
+    """quadratic(-I) is one quadratic, so its tilt probes are exact: at
+    z = 0 the argmin is the whole unit circle, the verdict is unstable with
+    witness 0, and the manifold precondition is skipped, not inconclusive.
+    Both campaigns exit 0 and no solver budget is hit."""
+    config = cli.ExperimentConfig(problem="quadratic(-I)",
+                                  campaign=["tilt-test", "manifold"],
+                                  output_dir=str(tmp_path))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", SolverBudgetExceeded)
+        manifest, code = cli.Runner(config).run()
+    assert code == 0 and manifest["overall"] == "pass"
+    checks = {c["name"]: c for c in manifest["campaigns"]["tilt-test"]["checks"]}
+    assert all(c["status"] == "pass" for c in checks.values())
+    detail = checks["tilt_verdict_decisive"]["detail"]
+    assert detail["status"] == "unstable" and detail["witness"] == [0.0, 0.0]
+    check, = manifest["campaigns"]["manifold"]["checks"]
+    assert check["name"] == "tilt_stable_base"
+    assert check["status"] == "skipped" and check["value"] == "unstable"
+    assert check["detail"]["witness"] == [0.0, 0.0]
 
 
 QUADRATIC = {"dim": 2, "kind": "max_of_smooth",
@@ -260,6 +295,34 @@ def test_main_bad_input_exits_usage_error(tmp_path, monkeypatch, capsys, flag,
     err = capsys.readouterr().err
     assert err.startswith("usage error") and needle in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("grids, needle", [
+    ({"resolution": 2.5}, "grids.resolution"),
+    ({"resolution": 2}, "grids.resolution"),
+    ({"resolution": 1}, "grids.resolution"),
+    ({"conjugate_resolution": 400.5}, "grids.conjugate_resolution"),
+    ({"conjugate_resolution": 1}, "grids.conjugate_resolution"),
+    ({"envelope_resolution": 1}, "grids.envelope_resolution"),
+    ({"envelope_resolution": 60.2}, "grids.envelope_resolution"),
+    ({"resolution": 3, "conjugate_resolution": 2, "envelope_resolution": 2.0,
+      "moreau_lambda": 0.25}, None),
+])
+def test_grid_sizes_are_whole_node_counts(tmp_path, monkeypatch, capsys,
+                                          grids, needle):
+    """A fractional grid size, or one too small for its check (a midpoint
+    for the lagrangian grid, a spacing for the others), is a usage error
+    instead of a truncated or vacuous grid."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "config.json").write_text(json.dumps(
+        {"problem": "abs_plus_quad", "grids": grids}))
+    code = cli.main(["decompose", "--config", "config.json", "--out", "out"])
+    err = capsys.readouterr().err
+    if needle is None:
+        assert code == 0 and err == ""
+    else:
+        assert code == 3
+        assert err.startswith("usage error") and needle in err
 
 
 # -||x||^2 without a declared quadratic minorant: no lambda guard applies,
@@ -390,8 +453,7 @@ def test_lagrangian_boundary_column_reads_the_node_solve(tmp_path):
     runner = cli.Runner(config)
     with pytest.warns(BoundaryActive):
         runner.run()
-    ctx = ulagrangian.ULagContext(model=runner.model, frame=runner.frame,
-                                  eps_v=eps_v)
+    ctx = frame_context(model=runner.model, frame=runner.frame, eps_v=eps_v)
     rows = (tmp_path / "lagrangian.csv").read_text().splitlines()[1:]
     flags = {float(r.split(";")[0]): r.split(";")[-1] for r in rows}
     assert len(flags) == 21

@@ -7,6 +7,8 @@ from vulab import envelope as env
 from vulab import oracle, ulagrangian, vu
 from vulab.errors import DimensionTooLarge
 
+from conftest import frame_context
+
 
 def double_well():
     return env.grid_from_batches(lambda X: (X[:, 0] ** 2 - 1.0) ** 2,
@@ -125,7 +127,7 @@ def test_biconjugate_reproduces_envelope():
 def test_conjugacy_identity(abs_plus_quad, crossing):
     poly = oracle.subdifferential_polytope(abs_plus_quad, np.zeros(2))
     frame = vu.decompose(poly, np.zeros(2), eps=1.0)
-    ctx = ulagrangian.ULagContext(model=abs_plus_quad, frame=frame)
+    ctx = frame_context(model=abs_plus_quad, frame=frame)
     zs = np.linspace(-0.5, 0.5, 11)
     resid = env.conjugacy_identity_check(ctx, zs, resolution=201)
     assert resid <= 1e-3

@@ -7,7 +7,7 @@ import pytest
 from vulab import manifold as mf
 from vulab import oracle, tilt, ulagrangian as ug, vu
 
-from conftest import crossing_selection
+from conftest import crossing_selection, frame_context
 
 
 def test_trace_abs_plus_quad(apq_trace):
@@ -30,7 +30,7 @@ def test_trace_rejects_large_delta(apq_ctx):
 def test_trace_requires_stability_when_supplied(abs_diff):
     poly = oracle.subdifferential_polytope(abs_diff, np.zeros(2))
     frame = vu.decompose(poly, np.zeros(2), eps=1.0)
-    ctx = ug.ULagContext(model=abs_diff, frame=frame)
+    ctx = frame_context(model=abs_diff, frame=frame)
     verdict = tilt.tilt_stability_test(abs_diff, np.zeros(2), 1.0,
                                        grid_size=3)
     with pytest.raises(ValueError):
@@ -55,7 +55,7 @@ def test_c11_full_space_quadratic():
     q = oracle.builtin("quadratic(diag(1,10))")
     poly = oracle.subdifferential_polytope(q, np.zeros(2))
     frame = vu.decompose(poly, np.zeros(2), eps=1.0)
-    ctx = ug.ULagContext(model=q, frame=frame)
+    ctx = frame_context(model=q, frame=frame)
     tr = mf.trace(ctx, 0.2, 5)
     assert abs(mf.c11_check(tr) - 10.0) <= 1e-6
 
@@ -106,7 +106,7 @@ def test_degenerate_trace(four_quadrant, four_quadrant_component):
     u2, _ = four_quadrant_component
     poly = oracle.subdifferential_polytope(four_quadrant, np.zeros(2))
     frame = vu.decompose(poly, np.zeros(2), eps=1.0)
-    ctx = ug.ULagContext(model=four_quadrant, frame=frame, uprime_basis=u2)
+    ctx = frame_context(model=four_quadrant, frame=frame, uprime_basis=u2)
     tr = mf.trace(ctx, 0.25, 31)
     assert len(tr.u_nodes) == 1
     assert np.linalg.norm(tr.v_values) <= 1e-8
@@ -123,7 +123,7 @@ def test_boundary_shrink_and_retry(crossing):
     poly = oracle.subdifferential_polytope(crossing,
                                            crossing.meta["default_base_point"])
     frame = vu.decompose(poly, np.zeros(2), eps=0.3)
-    ctx = ug.ULagContext(model=crossing, frame=frame, eps_v=0.002)
+    ctx = frame_context(model=crossing, frame=frame, eps_v=0.002)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         tr = mf.trace(ctx, 0.15, 9)
@@ -156,8 +156,8 @@ def crossing3_ctx(tmp_path_factory):
     model = oracle.load_problem(str(path))
     base = np.array([0.0, 0.0, (3.0 - np.sqrt(5.0)) / 2.0])
     poly = oracle.subdifferential_polytope(model, base)
-    ctx = ug.ULagContext(model=model,
-                         frame=vu.decompose(poly, np.zeros(3), eps=0.3))
+    ctx = frame_context(model=model,
+                        frame=vu.decompose(poly, np.zeros(3), eps=0.3))
     assert (ctx.dim_uprime, ctx.dim_vprime) == (2, 1)
     return ctx
 

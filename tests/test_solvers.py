@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vulab import oracle, solvers
+from vulab import oracle, solvers, tilt
 from vulab.errors import SolverBudgetExceeded
 
 
@@ -205,3 +205,85 @@ def test_line_minimize_sum_alone_and_roots():
     assert solvers._roots_within(0.0, 2.0, -1.0, 1.0) == [0.5]
     assert solvers._roots_within(1.0, 0.0, 1.0, 1.0) == []
     assert solvers._roots_within(1e-320, 1.0, 0.5, 1.0) == [-0.5]
+
+
+@st.composite
+def ball_quadratics(draw):
+    """One quadratic 1/2 v^T A v + b^T v in R^2 or R^3 with A = Q diag(lam)
+    Q^T, lam on the quarter grid of [-2, 2] (repeated and zero eigenvalues
+    come often), Q a product of plane rotations (the identity included), b
+    = Q c with c on the eighth grid of [-2, 2] (b = 0 and b orthogonal to
+    an eigenspace included), and a radius.  b is the linear term of the
+    quadratic piece or a separate affine sum piece."""
+    dim = draw(st.integers(2, 3))
+    grid = st.sampled_from(np.arange(-8, 9) / 4.0)
+    lam = np.array(draw(st.lists(grid, min_size=dim, max_size=dim)))
+    Q = np.eye(dim)
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            t = draw(st.sampled_from([0.0, 0.3, 1.0, np.pi / 4, 2.5]))
+            R = np.eye(dim)
+            R[[i, i, j, j], [i, j, i, j]] = [np.cos(t), -np.sin(t),
+                                             np.sin(t), np.cos(t)]
+            Q = Q @ R
+    A = Q @ np.diag(lam) @ Q.T
+    A = 0.5 * (A + A.T)
+    c = np.array(draw(st.lists(st.sampled_from(np.arange(-16, 17) / 8.0),
+                               min_size=dim, max_size=dim)))
+    b = Q @ c
+    radius = draw(st.sampled_from([0.1, 0.5, 1.0, 2.0]))
+    if draw(st.booleans()):
+        return [oracle.QuadraticPiece(A, b)], [], A, b, radius
+    return ([oracle.QuadraticPiece(A)], [oracle.AffinePiece(b)], A, b,
+            radius)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ball_quadratics())
+def test_quadratic_ball_minimize_meets_more_sorensen(problem):
+    """Every point of the clustered argmin is a global minimizer by the
+    More-Sorensen conditions: (A + mu I) v = -b with mu >= 0, A + mu I psd
+    and mu (radius - ||v||) = 0, each to 1e-10.  The best value is never
+    worse than that of the SLSQP multistart with polish."""
+    max_pieces, sum_pieces, A, b, radius = problem
+    dim = len(b)
+    objective = branch_objective(max_pieces, sum_pieces)
+    res = solvers.quadratic_ball_minimize([(max_pieces, sum_pieces)],
+                                          objective, dim, radius)
+    assert not res.approximate
+    assert_bits_equal(res.values, objective(res.points))
+    cluster_tol = 1e-9 * (1.0 + abs(float(res.values.min())))
+    reps, best = solvers.cluster_minimizers(res.points, res.values,
+                                            cluster_tol, 1e-6 * radius)
+    lam_min = float(np.linalg.eigvalsh(A)[0])
+    for v in reps:
+        norm = float(np.linalg.norm(v))
+        assert norm <= radius * (1.0 + 1e-12)
+        r = A @ v + b
+        mu = 0.0 if norm < radius * (1.0 - 1e-10) else -float(v @ r) / norm ** 2
+        assert mu >= -1e-10
+        assert lam_min + mu >= -1e-10
+        assert np.linalg.norm(r + mu * v) <= 1e-10
+        assert abs(mu * (radius - norm)) <= 1e-10
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SolverBudgetExceeded)
+        multi = solvers.minimize_branches([(max_pieces, sum_pieces)],
+                                          objective, np.zeros(dim), radius)
+    # SLSQP may stop up to ~1e-11 outside the ball, where the value is below
+    # the constrained minimum: compare at the points pulled back onto it
+    P = multi.points
+    norms = np.linalg.norm(P, axis=1)
+    P = P * (radius / np.maximum(norms, radius))[:, None]
+    multi_best = float(objective(P).min())
+    assert best <= multi_best + 1e-12 * (1.0 + abs(best))
+
+
+def test_quadratic_ball_minimize_hard_case():
+    """quadratic(diag(-1, 1)) at z = 0: b = 0 is orthogonal to the
+    eigenvector e1 of lam_min = -1, and the argmin over the eps-ball is
+    exactly the two points +-eps e1."""
+    model = oracle.builtin("quadratic(diag(-1,1))")
+    res = tilt.tilt_map(model, np.zeros(2), 0.5, np.zeros(2))
+    assert repr(res.minimizers.tolist()) == repr([[-0.5, 0.0], [0.5, 0.0]])
+    assert repr(res.value) == repr(-0.125)
+    assert not res.single_valued and not res.approximate

@@ -1,13 +1,14 @@
+import json
 import warnings
 
 import numpy as np
 import pytest
 
-from vulab import (envelope, manifold, oracle, solvers, subjets, tilt,
+from vulab import (cli, envelope, manifold, oracle, solvers, subjets, tilt,
                    ulagrangian, vu)
 from vulab.errors import SolverBudgetExceeded
 
-from conftest import neg_norm_squared
+from conftest import frame_context, neg_norm_squared
 
 
 def brute_tilt_argmin(model, base, eps, z, per_axis=161):
@@ -60,10 +61,16 @@ def test_tilt_map_matches_absolute_reference(abs_diff, abs_plus_quad,
     the absolute-coordinate tilt map bit for bit where the base point is the
     origin, and within 1e-8 on crossing_max, whose base point is not.  The
     tilted four_quadrant_max probes hit the polish move cap on both sides,
-    so their approximate flags are compared too."""
+    so their approximate flags are compared too.  quadratic(I) is one
+    quadratic, solved exactly: x(z) = z with value -1/2 ||z||^2."""
     tilts = [np.zeros(2), np.array([0.03, -0.02]), np.array([-0.05, 0.05])]
-    for model in (abs_diff, abs_plus_quad, oracle.builtin("quadratic(I)"),
-                  four_quadrant):
+    for z in tilts:
+        res = tilt.tilt_map(oracle.builtin("quadratic(I)"), np.zeros(2), 1.0,
+                            z)
+        assert repr(res.minimizers.tolist()) == repr([z.tolist()])
+        assert repr(res.value) == repr(0.0 - 0.5 * float(z @ z))
+        assert not res.approximate
+    for model in (abs_diff, abs_plus_quad, four_quadrant):
         for z in tilts:
             res = tilt.tilt_map(model, np.zeros(2), 1.0, z)
             reps, best, approximate = reference_tilt_map(model, np.zeros(2),
@@ -193,7 +200,7 @@ def test_tilt_map_statistics_match_pair_loops(abs_plus_quad, crossing,
     # 1-D traces and on a 2-D one
     q = oracle.builtin("quadratic(diag(1,10))")
     poly = oracle.subdifferential_polytope(q, np.zeros(2))
-    ctx2 = ulagrangian.ULagContext(
+    ctx2 = frame_context(
         model=q, frame=vu.decompose(poly, np.zeros(2), eps=1.0))
     for tr in (apq_trace, crossing_trace, manifold.trace(ctx2, 0.2, 5)):
         expect = pair_loop_quotient(tr.u_nodes, tr.z_u_values)
@@ -204,12 +211,13 @@ def test_tilt_map_statistics_match_pair_loops(abs_plus_quad, crossing,
             == repr(float(pair_loop_quotient(grid, grads))))
 
 
-def test_tilt_map_capped_polish_is_approximate():
-    """On quadratic(-I) the polish crawls towards the sphere; it stops at its
-    move cap and the probe is approximate rather than a wrong answer."""
+def test_tilt_map_capped_polish_is_approximate(four_quadrant):
+    """On four_quadrant_max the polish of a tilted probe crawls along the
+    sphere; it stops at its move cap and the probe is approximate rather
+    than a wrong answer."""
     with pytest.warns(SolverBudgetExceeded):
-        res = tilt.tilt_map(oracle.builtin("quadratic(-I)"), np.zeros(2), 1.0,
-                            np.zeros(2))
+        res = tilt.tilt_map(four_quadrant, np.zeros(2), 1.0,
+                            np.array([0.03, -0.02]))
     assert res.approximate
 
 
@@ -305,3 +313,95 @@ def test_solver_budget_flagged(abs_plus_quad, monkeypatch):
 def test_stability_requires_critical_base(abs_plus_quad):
     with pytest.raises(ValueError):
         tilt.tilt_stability_test(abs_plus_quad, np.array([2.0, 2.0]), 0.5)
+
+
+BUILTINS = ["abs_diff", "four_quadrant_max", "crossing_max", "abs_plus_quad",
+            "huber_source_abs", "quadratic(I)", "quadratic(I3)",
+            "quadratic(-I)", "quadratic(diag(1,10))"]
+
+
+def scalar_prox_worst(model, base_point, anchor_z, eps):
+    """Reference: the per-point loop of prox_regularity_test, one evaluate
+    call per sample point."""
+    f_base = oracle.evaluate(model, base_point)
+    pts = base_point + solvers.ball_lattice(model.dim, eps,
+                                            tilt.PROX_SAMPLE_PER_AXIS)
+    triples = []
+    for x in pts:
+        fx = oracle.evaluate(model, x)
+        if abs(fx - f_base) > eps:
+            continue
+        gens = oracle.subdifferential_polytope(model, x).generators
+        for z in solvers.hull_point_candidates(gens):
+            if np.linalg.norm(z - anchor_z) <= eps:
+                triples.append((x, fx, z))
+    if not triples:
+        return None
+    worst = -np.inf
+    for xp in pts:
+        fxp = oracle.evaluate(model, xp)
+        for x, fx, z in triples:
+            d2 = float(np.sum((xp - x) ** 2))
+            if d2 >= 1e-20:
+                worst = max(worst, 2.0 * (fx + float(z @ (xp - x)) - fxp) / d2)
+    return worst
+
+
+def scalar_minorant_worst(model, base_point):
+    """Reference: the per-point loop of quadratic_minorant_test."""
+    alpha = oracle.evaluate(model, base_point)
+    axes = [np.linspace(base_point[i] - tilt.MINORANT_BOX_HALF,
+                        base_point[i] + tilt.MINORANT_BOX_HALF,
+                        tilt.MINORANT_SAMPLE_PER_AXIS)
+            for i in range(model.dim)]
+    pts = np.column_stack([g.ravel()
+                           for g in np.meshgrid(*axes, indexing="ij")])
+    worst = 0.0
+    for x in pts:
+        d2 = float(np.sum((x - base_point) ** 2))
+        if d2 >= 1e-20:
+            worst = max(worst,
+                        2.0 * (alpha - oracle.evaluate(model, x)) / d2)
+    return alpha, worst
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+def test_grid_tests_match_scalar_loops(name):
+    """The batched grid tests value their samples with evaluate_many and
+    d^2 row-wise, and reproduce the scalar loops' worst need bit for bit."""
+    model = oracle.builtin(name)
+    base = model.meta["default_base_point"]
+    eps = min(model.meta["default_radius"], 0.5)
+    anchor = np.zeros(model.dim)
+    assert (repr(tilt._prox_worst(model, base, anchor, eps))
+            == repr(scalar_prox_worst(model, base, anchor, eps)))
+    assert (repr(tilt._minorant_worst(model, base))
+            == repr(scalar_minorant_worst(model, base)))
+
+
+def test_quadratic_tilt_test_runs_no_multistart(tmp_path, monkeypatch):
+    """Every tilt probe of quadratic(I3) is one exact trust-region solve: no
+    minimize_branches, SLSQP or polish call and no warning."""
+    calls = []
+
+    def forbidden(name):
+        def record(*args, **kwargs):
+            calls.append(name)
+            raise AssertionError(f"{name} called")
+        return record
+    monkeypatch.setattr(ulagrangian, "minimize_branches",
+                        forbidden("minimize_branches"))
+    monkeypatch.setattr(solvers, "minimize", forbidden("minimize"))
+    monkeypatch.setattr(solvers, "pattern_polish", forbidden("pattern_polish"))
+    config = cli.ExperimentConfig(problem="quadratic(I3)",
+                                  campaign=["tilt-test"],
+                                  output_dir=str(tmp_path))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        manifest, code = cli.Runner(config).run()
+    assert calls == [] and code == 0
+    assert all(c["status"] == "pass"
+               for c in manifest["campaigns"]["tilt-test"]["checks"])
+    summary = json.loads((tmp_path / "tilt-test.json").read_text())
+    assert summary["status"] == "stable"
+    assert summary["lipschitz_estimate"] == 1.0

@@ -4,7 +4,7 @@ import pytest
 from vulab import cli, oracle, solvers, tilt, ulagrangian as ug, vu
 from vulab.errors import BoundaryActive, InconsistentGradient
 
-from conftest import SQRT5, crossing_selection, golden_min
+from conftest import SQRT5, crossing_selection, frame_context, golden_min
 
 
 def inner_objective(ctx, u):
@@ -74,8 +74,8 @@ def test_convexity_check(apq_ctx, crossing_ctx):
         assert viol <= 1e-9 * scale
     qi = oracle.builtin("quadratic(I2)")
     poly = oracle.subdifferential_polytope(qi, np.zeros(2))
-    ctx = ug.ULagContext(model=qi, frame=vu.decompose(poly, np.zeros(2),
-                                                      eps=1.0))
+    ctx = frame_context(model=qi, frame=vu.decompose(poly, np.zeros(2),
+                                                     eps=1.0))
     from vulab.solvers import cube_lattice
     viol = ug.convexity_check(ctx, list(cube_lattice(2, 0.4, 5)))
     assert viol <= 1e-9
@@ -133,7 +133,7 @@ def test_boundary_active_warning(crossing):
     poly = oracle.subdifferential_polytope(crossing,
                                            crossing.meta["default_base_point"])
     frame = vu.decompose(poly, np.zeros(2), eps=0.3)
-    ctx = ug.ULagContext(model=crossing, frame=frame, eps_v=0.005)
+    ctx = frame_context(model=crossing, frame=frame, eps_v=0.005)
     with pytest.warns(BoundaryActive):
         ug.v_of_u(ctx, np.array([0.15]))
 
@@ -152,7 +152,7 @@ def test_inconsistent_gradient_detected():
         name="lying")
     frame = vu.VUFrame(base_point=np.zeros(2), anchor=np.zeros(2),
                        u_basis=np.eye(2), v_basis=np.zeros((2, 0)), eps=1.0)
-    ctx = ug.ULagContext(model=lying, frame=frame)
+    ctx = frame_context(model=lying, frame=frame)
     with pytest.raises(InconsistentGradient):
         ug.grad_l(ctx, np.array([0.5, 0.0]))
 
@@ -185,7 +185,7 @@ def slanted_model():
 
 def zero_anchor_ctx(model, eps):
     poly = oracle.subdifferential_polytope(model, np.zeros(model.dim))
-    return ug.ULagContext(model=model, frame=vu.decompose(
+    return frame_context(model=model, frame=vu.decompose(
         poly, np.zeros(model.dim), eps=eps))
 
 
@@ -209,7 +209,7 @@ def test_cached_value_is_the_solve_value(apq_ctx, crossing_ctx, monkeypatch):
     slanted = zero_anchor_ctx(slanted_model(), 0.5)
     assert slanted.dim_vprime == 3
     for shared in (apq_ctx, crossing_ctx, slanted):
-        ctx = ug.ULagContext(model=shared.model, frame=shared.frame)
+        ctx = frame_context(model=shared.model, frame=shared.frame)
         for t in (-0.1, -0.02, 0.0, 0.05, 0.1):
             u = np.array([t])
             count = len(solves)
@@ -229,8 +229,8 @@ def test_exact_selection_matches_closed_form(tmp_path):
     runner = cli.Runner(cli.ExperimentConfig(
         problem="crossing_max", campaign=["lagrangian"],
         output_dir=str(tmp_path)))
-    ctx = ug.ULagContext(model=runner.model, frame=runner.frame,
-                         eps_v=runner.radii["eps_v"])
+    ctx = frame_context(model=runner.model, frame=runner.frame,
+                        eps_v=runner.radii["eps_v"])
     closed = runner.model.meta["selection_closed_form"]
     delta = runner.radii["delta"]
     nodes = np.linspace(-delta, delta, runner.resolution)
@@ -254,7 +254,7 @@ def test_line_path_makes_no_multistart(apq_ctx, crossing_ctx, four_quadrant,
                         recording(polish, solvers.pattern_polish))
     huber = zero_anchor_ctx(oracle.builtin("huber_source_abs"), 1.0)
     for shared in (apq_ctx, crossing_ctx, huber):
-        ctx = ug.ULagContext(model=shared.model, frame=shared.frame)
+        ctx = frame_context(model=shared.model, frame=shared.frame)
         assert ctx.dim_vprime == 1
         for t in np.linspace(-0.1, 0.1, 5):
             ug.l_value(ctx, np.array([t] * ctx.dim_uprime))
