@@ -1,8 +1,8 @@
 """Deterministic inner solvers: lattices, exact and multistart ball
 minimization, hull geometry.
 
-Everything here is seedless.  Start points, probe directions and polish steps
-come from fixed lattices so repeated runs produce identical bytes.
+Everything here is seedless.  Start points and probe directions come from
+fixed lattices so repeated runs produce identical bytes.
 """
 
 from dataclasses import dataclass
@@ -17,13 +17,10 @@ from .errors import SolverBudgetExceeded
 
 
 # SLSQP iteration budget and tolerance of every epigraph solve (Nelder-Mead
-# gets 40 times the budget), multistart lattice points per axis, and the
-# first and last pattern_polish step after each solve.
+# gets 40 times the budget) and multistart lattice points per axis.
 MAX_ITERS = 500
 FTOL = 1e-14
 STARTS_PER_AXIS = 3
-POLISH_STEP = 1e-6
-POLISH_FLOOR = 1e-15
 
 
 def cube_lattice(dim, radius, per_axis):
@@ -63,8 +60,9 @@ def sphere_directions(dim, count):
 
 @lru_cache(maxsize=None)
 def _offset_lattice(dim):
-    """Origin, axis steps and two-axis diagonals; used by polish and ball
-    minimization.  Cached per dimension, so the array is read-only."""
+    """Origin, axis steps and two-axis diagonals; the search offsets of
+    subjets' rank-1 support refinement.  Cached per dimension, so the array
+    is read-only."""
     offs = [np.zeros(dim)]
     eye = np.eye(dim)
     for i in range(dim):
@@ -77,58 +75,6 @@ def _offset_lattice(dim):
     offs = np.array(offs)
     offs.setflags(write=False)
     return offs
-
-
-# Accepted moves after which pattern_polish gives up.  No polish of the timed
-# benchmark workloads takes more than 17; one that reaches the cap is crawling
-# along the ball with a step too small for the distance left.
-POLISH_MAX_MOVES = 1000
-
-
-def pattern_polish(fun, x0, center, radius, step, floor):
-    """Deterministic compass/diagonal descent inside the closed ball.
-
-    Value-based, so it sharpens kink minimizers that smooth solvers leave at
-    ~1e-8 down to ~1e-13 without derivative information.  `fun` is batched:
-    it maps an (m, dim) array of points to their m values.  A sweep evaluates
-    its remaining candidates in one call and accepts the first improving one,
-    then re-batches the offsets after it from the new point, so the search
-    path is the same as a one-candidate-at-a-time scan.
-
-    Returns (x, fx, capped).  After POLISH_MAX_MOVES accepted moves it stops,
-    warns SolverBudgetExceeded and returns capped = True.
-    """
-    x = np.array(x0, dtype=float)
-    fx = fun(x[None, :])[0]
-    offs = _offset_lattice(len(x))[1:]
-    s = step
-    moves = 0
-    while s > floor:
-        improved = False
-        k = 0
-        while k < len(offs):
-            cands = x + s * offs[k:]
-            D = cands - center
-            r = np.sqrt(np.vecdot(D, D))
-            out = r > radius
-            if out.any():
-                cands[out] = center + D[out] * (radius / r[out])[:, None]
-            vals = fun(cands)
-            better = np.flatnonzero(vals < fx - 1e-18)
-            if not better.size:
-                break
-            j = better[0]
-            x, fx = cands[j], vals[j]
-            improved = True
-            moves += 1
-            if moves >= POLISH_MAX_MOVES:
-                warnings.warn("pattern polish hit its move cap",
-                              SolverBudgetExceeded)
-                return x, fx, True
-            k += j + 1
-        if not improved:
-            s *= 0.25
-    return x, fx, False
 
 
 def _epigraph_solve(max_pieces, sum_pieces, center, radius, x0):
@@ -190,7 +136,8 @@ def _epigraph_solve(max_pieces, sum_pieces, center, radius, x0):
 
 def _nelder_mead(fun, x0, center, radius):
     """Unstructured fallback: Nelder-Mead on the batched `fun`, one row at a
-    time, with points outside the ball projected onto it."""
+    time, valued at points outside the ball projected onto it.  The point
+    returned may lie outside; minimize_branches projects it."""
     def project(x):
         r = np.linalg.norm(x - center)
         return center + (x - center) * (radius / r) if r > radius else x
@@ -199,7 +146,7 @@ def _nelder_mead(fun, x0, center, radius):
                    method="Nelder-Mead",
                    options={"maxiter": 40 * MAX_ITERS, "xatol": 1e-12,
                             "fatol": 1e-14})
-    return project(np.asarray(res.x, dtype=float))
+    return np.asarray(res.x, dtype=float)
 
 
 @dataclass
@@ -213,38 +160,38 @@ def minimize_branches(branches, objective, center, radius):
     """Multistart minimization of a piecewise-smooth objective over a closed ball.
 
     `branches` is a list of (max_pieces, sum_pieces) descriptions covering the
-    objective (the global min is the min over branches).  `objective` is
-    batched, mapping an (m, dim) array of points to their m values; it gives
-    the polish, the recorded values and the unstructured fallback.  A solve
-    that hits its iteration budget or a polish that hits its move cap marks
+    objective (the global min is the min over branches).  Each start of the
+    lattice records the SLSQP epigraph point of every branch, or without
+    branches the Nelder-Mead point of the batched `objective`, which maps an
+    (m, dim) array of points to their m values.  SLSQP may stop slightly
+    outside the ball, so every point is projected onto it before the
+    objective values them all.  A solve that hits its iteration budget marks
     the result approximate.
     """
     dim = len(center)
     if dim == 0:
         z = np.zeros((1, 0))
         return BallMinimizeResult(points=z, values=objective(z))
-    pts, vals = [], []
+    pts = []
     approximate = False
     for x0 in center + ball_lattice(dim, 0.9 * radius, STARTS_PER_AXIS):
-        if branches:
-            found = []
-            for max_pieces, sum_pieces in branches:
-                x, ok, nit = _epigraph_solve(max_pieces, sum_pieces, center,
-                                             radius, x0)
-                if not ok and nit >= MAX_ITERS:
-                    approximate = True
-                    warnings.warn("inner solver hit its iteration budget",
-                                  SolverBudgetExceeded)
-                found.append(x)
-        else:
-            found = [_nelder_mead(objective, x0, center, radius)]
-        for x in found:
-            x, fx, capped = pattern_polish(objective, x, center, radius,
-                                           POLISH_STEP, POLISH_FLOOR)
-            approximate = approximate or capped
+        if not branches:
+            pts.append(_nelder_mead(objective, x0, center, radius))
+            continue
+        for max_pieces, sum_pieces in branches:
+            x, ok, nit = _epigraph_solve(max_pieces, sum_pieces, center,
+                                         radius, x0)
+            if not ok and nit >= MAX_ITERS:
+                approximate = True
+                warnings.warn("inner solver hit its iteration budget",
+                              SolverBudgetExceeded)
             pts.append(x)
-            vals.append(fx)
-    return BallMinimizeResult(points=np.array(pts), values=np.array(vals),
+    P = np.array(pts)
+    D = P - center
+    r = np.sqrt(np.vecdot(D, D))
+    out = r > radius
+    P[out] = center + D[out] * (radius / r[out])[:, None]
+    return BallMinimizeResult(points=P, values=objective(P),
                               approximate=approximate)
 
 
@@ -403,8 +350,9 @@ def cluster_minimizers(points, values, cluster_tol, sep_tol):
     """Keep near-optimal points and merge numerical twins.
 
     Returns (representatives, best_value); representatives are pairwise at
-    least sep_tol apart, ordered by (norm, lexicographic) so ties break
-    deterministically with the smallest-norm point first.
+    least sep_tol apart, ordered by norm and then lexicographically, both
+    rounded to 12 digits, so ties break deterministically with the
+    smallest-norm point first and norms a few ulps apart count as tied.
     """
     best = float(np.min(values))
     keep = [p for p, v in zip(points, values) if v <= best + cluster_tol]

@@ -90,8 +90,8 @@ def argmin_on_ball(model, base, M, piece, radius):
     when M has one column, and by solvers.quadratic_ball_minimize when
     every branch has at most one max-piece, so each branch is one
     quadratic.  Custom branch covers only describe their model's value
-    oracle, so they and all other problems take the SLSQP multistart with
-    polish of solvers.minimize_branches.
+    oracle, so they and all other problems take the SLSQP multistart of
+    solvers.minimize_branches.
 
     Returns (points, best, approximate): the near-optimal points, pairwise
     1e-6 * radius apart, smallest norm first; the best value; and whether a
@@ -254,8 +254,8 @@ def little_oh_check(ctx, radii):
 
 # A selection norm ||v(u)|| of at most this many machine epsilons is rounding
 # noise.  The exact line solve reads the selection v = 0 of abs_diff as 0.0
-# (t = 0 is one of its candidates), but the multistart for dim V' >= 2 stops
-# its polish a few eps from an exact zero, so the floor stays.
+# (t = 0 is one of its candidates), but the SLSQP multistart for dim V' >= 2
+# can stop a few eps from an exact zero, so the floor stays.
 LITTLE_OH_NOISE_EPS = 64.0
 
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vulab import cli, ulagrangian
+from vulab import cli, solvers, ulagrangian
 from vulab.errors import BoundaryActive, SolverBudgetExceeded
 
 from conftest import crossing_selection, frame_context
@@ -188,20 +188,47 @@ def test_lagrangian_selection_little_oh(tmp_path, problem):
     assert "selection_little_oh" in statuses
 
 
-@pytest.mark.parametrize("problem", ["four_quadrant_max"])
-def test_tilt_test_capped_polish_exits_inconclusive(tmp_path, problem):
-    """It used to hang in the polish; its move cap now makes the tilt
-    verdict inconclusive, so the run exits 2."""
-    config = cli.ExperimentConfig(problem=problem, campaign=["tilt-test"],
+def test_tilt_test_four_quadrant_max_is_decisively_unstable(tmp_path):
+    """four_quadrant_max = max(0, |x2| - |x1|) has a flat argmin at z = 0,
+    so its tilt verdict is unstable with witness 0, decided without a
+    solver budget warning."""
+    config = cli.ExperimentConfig(problem="four_quadrant_max",
+                                  campaign=["tilt-test"],
                                   output_dir=str(tmp_path))
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", SolverBudgetExceeded)
+        warnings.simplefilter("error")
         manifest, code = cli.Runner(config).run()
+    assert code == 0 and manifest["overall"] == "pass"
+    checks = manifest["campaigns"]["tilt-test"]["checks"]
+    assert all(c["status"] == "pass" for c in checks)
+    summary = json.loads((tmp_path / "tilt-test.json").read_text())
+    assert summary["status"] == "unstable"
+    assert summary["witness"] == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("problem", ["four_quadrant_max", "abs_diff"])
+def test_solver_budget_makes_verdicts_inconclusive(tmp_path, monkeypatch,
+                                                   problem):
+    """With an SLSQP budget of one iteration every multistart solve is
+    capped: the tilt verdict and the Moreau check read inconclusive rather
+    than a verdict from unconverged points, and each run exits 2."""
+    monkeypatch.setattr(solvers, "MAX_ITERS", 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SolverBudgetExceeded)
+        manifest, code = run_campaign(problem, "tilt-test", tmp_path / "tilt")
     assert code == 2 and manifest["overall"] == "inconclusive"
     checks = {c["name"]: c for c in manifest["campaigns"]["tilt-test"]["checks"]}
     assert checks["tilt_verdict_decisive"]["status"] == "inconclusive"
     assert all(c["status"] == "pass" for name, c in checks.items()
                if name != "tilt_verdict_decisive")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SolverBudgetExceeded)
+        manifest, code = run_campaign(problem, "appendix", tmp_path / "app")
+    assert code == 2 and manifest["overall"] == "inconclusive"
+    checks = {c["name"]: c for c in manifest["campaigns"]["appendix"]["checks"]}
+    moreau = checks["moreau_gradient_consistency"]
+    assert moreau["status"] == "inconclusive"
+    assert "budget" in moreau["detail"]["approximate"]
 
 
 def test_manifold_inconclusive_tilt_verdict_exits_inconclusive(tmp_path,
@@ -409,24 +436,46 @@ def test_appendix_skips_moreau_points_with_set_valued_prox(tmp_path):
     """four_quadrant_max = max(0, |x2| - |x1|) is not prox-regular on the x2
     axis: at (0, 0.3) and (0, -0.2) the prox holds (+-0.15, 0.15) and
     (+-0.1, -0.1), so e_lambda has a ridge there.  Those two points are
-    named with their prox points; the other two still count, but every
-    prox solve on the x1 axis hits the polish move cap, so the check is
-    inconclusive and the run exits 2."""
+    named with their prox points; the other two still count, every prox
+    solve ends within its budget, so the check passes and the run exits
+    0."""
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", SolverBudgetExceeded)
+        warnings.simplefilter("error", SolverBudgetExceeded)
         manifest, code = run_campaign("four_quadrant_max", "appendix",
                                       tmp_path)
-    assert code == 2 and manifest["overall"] == "inconclusive"
+    assert code == 0 and manifest["overall"] == "pass"
     checks = {c["name"]: c for c in
               manifest["campaigns"]["appendix"]["checks"]}
     moreau = checks["moreau_gradient_consistency"]
-    assert moreau["status"] == "inconclusive" and moreau["value"] <= 1e-5
-    assert "budget" in moreau["detail"]["approximate"]
+    assert moreau["status"] == "pass" and moreau["value"] <= 1e-5
+    assert "approximate" not in moreau["detail"]
     witness = moreau["detail"]["set_valued"]
     assert [w["x"] for w in witness] == [[0.0, 0.3], [0.0, -0.2]]
     for w, (a, b) in zip(witness, [(0.15, 0.15), (0.1, -0.1)]):
         prox = sorted(w["prox"])
         np.testing.assert_allclose(prox, [[-a, b], [a, b]], atol=1e-8)
+
+
+def test_appendix_of_the_3d_crossing_passes(tmp_path):
+    """The 3-D crossing model max{||x||^2 - 2 x3 + 1, x3} at
+    (0, 0, (3 - sqrt 5)/2), loaded from JSON: every prox solve of its
+    Moreau check ends within its budget, so the check passes and the run
+    exits 0."""
+    problem = tmp_path / "crossing_max3.json"
+    problem.write_text(json.dumps(
+        {"dim": 3, "kind": "max_of_smooth", "name": "crossing_max3",
+         "pieces": [{"type": "quadratic", "A": (2.0 * np.eye(3)).tolist(),
+                     "b": [0.0, 0.0, -2.0], "c": 1.0},
+                    {"type": "affine", "a": [0.0, 0.0, 1.0]}]}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", SolverBudgetExceeded)
+        manifest, code = run_campaign(
+            str(problem), "appendix", tmp_path / "out",
+            base_point=[0.0, 0.0, (3.0 - np.sqrt(5.0)) / 2.0])
+    assert code == 0 and manifest["overall"] == "pass"
+    checks = {c["name"]: c for c in
+              manifest["campaigns"]["appendix"]["checks"]}
+    assert checks["moreau_gradient_consistency"]["status"] == "pass"
 
 
 def test_appendix_moreau_bytes_without_set_valued_prox(tmp_path):

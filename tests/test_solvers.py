@@ -1,48 +1,17 @@
 import warnings
 
 import numpy as np
-import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from vulab import oracle, solvers, tilt
 from vulab.errors import SolverBudgetExceeded
 
 
-def scalar_polish(fun, x0, center, radius, step, floor):
-    """Reference: the one-candidate-at-a-time compass scan that
-    solvers.pattern_polish batches, with the same move cap."""
-    offs = solvers._offset_lattice(len(x0))[1:]
-    x = np.array(x0, dtype=float)
-    fx = fun(x)
-    s = step
-    moves = 0
-    while s > floor:
-        improved = False
-        for d in offs:
-            cand = x + s * d
-            r = np.linalg.norm(cand - center)
-            if r > radius:
-                cand = center + (cand - center) * (radius / r)
-            fc = fun(cand)
-            if fc < fx - 1e-18:
-                x, fx = cand, fc
-                improved = True
-                moves += 1
-                if moves >= solvers.POLISH_MAX_MOVES:
-                    return x, fx, True
-        if not improved:
-            s *= 0.25
-    return x, fx, False
-
-
 def tilted(model, z):
-    """The tilt objective in its batched and its scalar form."""
+    """The batched tilt objective X -> f(X) - <z, X>."""
     def batched(X):
         return oracle.evaluate_many(model, X) - np.vecdot(z, X)
-
-    def scalar(x):
-        return oracle.evaluate(model, x) - float(z @ x)
-    return batched, scalar
+    return batched
 
 
 def assert_bits_equal(got, expect):
@@ -55,80 +24,10 @@ def assert_bits_equal(got, expect):
 _coef = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
 
 
-@st.composite
-def polish_problems(draw):
-    """A max of quadratic and affine pieces in R^n (n = 1..3), a tilt, a
-    ball, and a start on the ball's edge, so candidates leave the ball and
-    are projected back."""
-    n = draw(st.integers(1, 3))
-    vec = st.lists(_coef, min_size=n, max_size=n).map(np.array)
-    pieces = []
-    for kind in draw(st.lists(st.sampled_from(["quadratic", "affine"]),
-                              min_size=1, max_size=3)):
-        if kind == "quadratic":
-            B = np.array(draw(st.lists(vec, min_size=n, max_size=n)))
-            pieces.append(oracle.QuadraticPiece(B @ B.T, draw(vec),
-                                                draw(_coef)))
-        else:
-            pieces.append(oracle.AffinePiece(draw(vec), draw(_coef)))
-    model = oracle.FunctionModel(dim=n, kind="max_of_smooth", pieces=pieces)
-    center = draw(vec)
-    radius = draw(st.floats(0.05, 2.0))
-    d = draw(vec.filter(lambda v: np.linalg.norm(v) > 1e-3))
-    x0 = center + radius * d / np.linalg.norm(d)
-    return model, draw(vec) * 0.1, center, radius, x0
-
-
-@settings(max_examples=120, deadline=None)
-@given(polish_problems(), st.sampled_from([(1e-6, 1e-15), (1e-2, 1e-9)]))
-def test_batched_polish_matches_scalar_scan(problem, steps):
-    model, z, center, radius, x0 = problem
-    batched, scalar = tilted(model, z)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", SolverBudgetExceeded)
-        x, fx, capped = solvers.pattern_polish(batched, x0, center, radius,
-                                               *steps)
-    rx, rfx, rcapped = scalar_polish(scalar, x0, center, radius, *steps)
-    assert_bits_equal(x, rx)
-    assert_bits_equal(fx, rfx)
-    assert capped == rcapped
-
-
-@pytest.mark.parametrize("name", ["crossing_max", "abs_plus_quad",
-                                  "quadratic(I3)"])
-def test_batched_polish_on_builtins(name):
-    model = oracle.builtin(name)
-    n = model.dim
-    center = model.meta["default_base_point"]
-    batched, scalar = tilted(model, np.full(n, 0.03))
-    for k in range(n):
-        x0 = center.copy()
-        x0[k] += 0.5                       # on the edge of the 0.5-ball
-        got = solvers.pattern_polish(batched, x0, center, 0.5, 1e-2, 1e-15)
-        ref = scalar_polish(scalar, x0, center, 0.5, 1e-2, 1e-15)
-        assert_bits_equal(got[0], ref[0])
-        assert_bits_equal(got[1], ref[1])
-        assert not got[2]
-
-
-def test_polish_move_cap():
-    """A concave objective sends the polish crawling towards the sphere in
-    steps of 1e-6: it stops at the cap, warns and flags the result."""
-    model = oracle.builtin("quadratic(-I)")
-    batched, _ = tilted(model, np.zeros(2))
-    x0 = np.array([0.1, 0.0])
-    with pytest.warns(SolverBudgetExceeded):
-        x, fx, capped = solvers.pattern_polish(batched, x0, np.zeros(2), 1.0,
-                                               1e-6, 1e-15)
-    assert capped
-    assert fx < oracle.evaluate(model, x0)
-    assert np.linalg.norm(x) < 0.2
-
-
-def test_minimize_branches_records_polish_values(crossing):
+def test_minimize_branches_records_values(crossing):
     """The recorded values are the objective at the recorded points, bit for
     bit, without a second evaluation."""
-    batched, _ = tilted(crossing, np.zeros(2))
+    batched = tilted(crossing, np.zeros(2))
     center = crossing.meta["default_base_point"]
     res = solvers.minimize_branches(crossing.solver_branches(), batched,
                                     center, 0.3)
@@ -140,7 +39,7 @@ def test_minimize_branches_nelder_mead_fallback(four_quadrant):
     """A model without branches goes through Nelder-Mead on single rows."""
     opaque = oracle.FunctionModel(dim=2, kind="custom",
                                   value_fn=four_quadrant.value_fn)
-    batched, _ = tilted(opaque, np.zeros(2))
+    batched = tilted(opaque, np.zeros(2))
     res = solvers.minimize_branches(None, batched, np.zeros(2), 1.0)
     assert np.all(np.linalg.norm(res.points, axis=1) <= 1.0 + 1e-12)
     assert float(res.values.min()) == 0.0
@@ -173,10 +72,16 @@ def branch_objective(max_pieces, sum_pieces):
 
 @settings(max_examples=300, deadline=None)
 @given(line_problems())
+# max(1 - 0.75 t^2, 0) on [-2, 2]: its crossings come out as
+# -1.1547005383792517 and 1.1547005383792515, both within cluster_tol
+@example(([oracle.QuadraticPiece([[-1.5]], [0.0], 1.0),
+           oracle.AffinePiece([0.0], 0.0)], [], 2.0))
 def test_line_minimize_beats_a_fine_grid(problem):
     """The closed-form candidates contain a global minimizer on the
-    interval, and the cluster rule then picks the smallest-norm candidate
-    within cluster_tol."""
+    interval, and the cluster rule then puts first the candidate within
+    cluster_tol of smallest norm rounded to 12 digits, ties broken by the
+    smaller coordinate rounded the same way: of two crossings a few ulps
+    apart in norm, the negative one."""
     max_pieces, sum_pieces, radius = problem
     objective = branch_objective(max_pieces, sum_pieces)
     res = solvers.line_minimize([(max_pieces, sum_pieces)], objective, radius)
@@ -189,8 +94,11 @@ def test_line_minimize_beats_a_fine_grid(problem):
     reps, best = solvers.cluster_minimizers(res.points, res.values,
                                             cluster_tol, 1e-6 * radius)
     assert best <= grid_min + 1e-12 * (1.0 + abs(grid_min))
-    near = np.abs(res.points[res.values <= best + cluster_tol, 0])
-    assert abs(reps[0][0]) == near.min()
+    near = res.points[res.values <= best + cluster_tol, 0]
+    norms = [round(abs(float(t)), 12) for t in near]
+    tied = [t for t, n in zip(near, norms) if n == min(norms)]
+    assert round(abs(float(reps[0][0])), 12) == min(norms)
+    assert np.round(reps[0][0], 12) == np.round(tied, 12).min()
 
 
 def test_line_minimize_sum_alone_and_roots():
@@ -244,7 +152,7 @@ def test_quadratic_ball_minimize_meets_more_sorensen(problem):
     """Every point of the clustered argmin is a global minimizer by the
     More-Sorensen conditions: (A + mu I) v = -b with mu >= 0, A + mu I psd
     and mu (radius - ||v||) = 0, each to 1e-10.  The best value is never
-    worse than that of the SLSQP multistart with polish."""
+    worse than that of the SLSQP multistart."""
     max_pieces, sum_pieces, A, b, radius = problem
     dim = len(b)
     objective = branch_objective(max_pieces, sum_pieces)
@@ -276,6 +184,24 @@ def test_quadratic_ball_minimize_meets_more_sorensen(problem):
     P = P * (radius / np.maximum(norms, radius))[:, None]
     multi_best = float(objective(P).min())
     assert best <= multi_best + 1e-12 * (1.0 + abs(best))
+
+
+def test_minimize_branches_stays_in_its_ball():
+    """On 1/2 v^T A v + b^T v with A = diag(-2, -2, 1) and b = (-2, -2, -2)
+    SLSQP stops about 1e-13 outside the 0.1-ball.  The recorded points are
+    projected onto it, so none lies outside by more than rounding and the
+    best value does not undercut the exact trust-region minimum."""
+    eps = np.finfo(float).eps
+    pieces = [oracle.QuadraticPiece(np.diag([-2.0, -2.0, 1.0]),
+                                    np.full(3, -2.0))]
+    objective = branch_objective(pieces, [])
+    multi = solvers.minimize_branches([(pieces, [])], objective, np.zeros(3),
+                                      0.1)
+    assert np.all(np.linalg.norm(multi.points, axis=1) <= 0.1 * (1 + 4 * eps))
+    assert_bits_equal(multi.values, objective(multi.points))
+    exact = solvers.quadratic_ball_minimize([(pieces, [])], objective, 3, 0.1)
+    best = float(exact.values.min())
+    assert float(multi.values.min()) >= best - 4 * eps * (1.0 + abs(best))
 
 
 def test_quadratic_ball_minimize_hard_case():

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from vulab import oracle, subjets as sj, vu
+from vulab import oracle, solvers, subjets as sj, vu
 from vulab.errors import (EmptyBundle, LambdaTooLarge, NotASubspace,
                           SingularHessian, SolverBudgetExceeded)
 from vulab.solvers import _offset_lattice, sphere_directions
@@ -212,10 +212,11 @@ def test_moreau_envelope(abs_plus_quad):
         sj.moreau_envelope(neg_norm_squared(), 1.0, np.zeros(2))
 
 
-def test_prox_points_carry_the_budget_flag(four_quadrant):
-    """A prox solve whose polish hits its move cap (on the x1 axis of
-    four_quadrant_max) says so with its points; an exact one does not."""
-    with warnings.catch_warnings():
+def test_prox_points_carry_the_budget_flag(four_quadrant, monkeypatch):
+    """A prox solve whose SLSQP solves hit their iteration budget (one
+    iteration here) says so with its points; one within budget does not."""
+    with monkeypatch.context() as m, warnings.catch_warnings():
+        m.setattr(solvers, "MAX_ITERS", 1)
         warnings.simplefilter("ignore", SolverBudgetExceeded)
         _, _, capped = sj.prox_points(four_quadrant, 0.5, np.array([0.3, 0.0]))
     assert capped

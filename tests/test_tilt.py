@@ -60,8 +60,7 @@ def test_tilt_map_matches_absolute_reference(abs_diff, abs_plus_quad,
     """The ball solve in coordinates relative to the base point reproduces
     the absolute-coordinate tilt map bit for bit where the base point is the
     origin, and within 1e-8 on crossing_max, whose base point is not.  The
-    tilted four_quadrant_max probes hit the polish move cap on both sides,
-    so their approximate flags are compared too.  quadratic(I) is one
+    approximate flags are compared too.  quadratic(I) is one
     quadratic, solved exactly: x(z) = z with value -1/2 ||z||^2."""
     tilts = [np.zeros(2), np.array([0.03, -0.02]), np.array([-0.05, 0.05])]
     for z in tilts:
@@ -209,16 +208,6 @@ def test_tilt_map_statistics_match_pair_loops(abs_plus_quad, crossing,
     grads = [ulagrangian.grad_l(crossing_ctx, u, validate=False) for u in grid]
     assert (repr(ulagrangian.lipschitz_gradient_bound(crossing_ctx, grid))
             == repr(float(pair_loop_quotient(grid, grads))))
-
-
-def test_tilt_map_capped_polish_is_approximate(four_quadrant):
-    """On four_quadrant_max the polish of a tilted probe crawls along the
-    sphere; it stops at its move cap and the probe is approximate rather
-    than a wrong answer."""
-    with pytest.warns(SolverBudgetExceeded):
-        res = tilt.tilt_map(four_quadrant, np.zeros(2), 1.0,
-                            np.array([0.03, -0.02]))
-    assert res.approximate
 
 
 def test_tilt_map_monotone_for_convex(abs_plus_quad):
@@ -381,7 +370,7 @@ def test_grid_tests_match_scalar_loops(name):
 
 def test_quadratic_tilt_test_runs_no_multistart(tmp_path, monkeypatch):
     """Every tilt probe of quadratic(I3) is one exact trust-region solve: no
-    minimize_branches, SLSQP or polish call and no warning."""
+    minimize_branches or SLSQP call and no warning."""
     calls = []
 
     def forbidden(name):
@@ -392,7 +381,6 @@ def test_quadratic_tilt_test_runs_no_multistart(tmp_path, monkeypatch):
     monkeypatch.setattr(ulagrangian, "minimize_branches",
                         forbidden("minimize_branches"))
     monkeypatch.setattr(solvers, "minimize", forbidden("minimize"))
-    monkeypatch.setattr(solvers, "pattern_polish", forbidden("pattern_polish"))
     config = cli.ExperimentConfig(problem="quadratic(I3)",
                                   campaign=["tilt-test"],
                                   output_dir=str(tmp_path))

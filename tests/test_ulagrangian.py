@@ -243,15 +243,13 @@ def test_exact_selection_matches_closed_form(tmp_path):
 def test_line_path_makes_no_multistart(apq_ctx, crossing_ctx, four_quadrant,
                                        monkeypatch):
     """For dim V' = 1 with quadratic and affine pieces the inner solve, and
-    the 1-D tilt map of huber_source_abs, call neither minimize_branches,
-    SLSQP nor pattern_polish; four_quadrant_max
-    (dim V' = 2, custom branch covers) still takes the multistart."""
-    multistarts, slsqp, polish = [], [], []
+    the 1-D tilt map of huber_source_abs, call neither minimize_branches
+    nor SLSQP; four_quadrant_max (dim V' = 2, custom branch covers) still
+    takes the multistart."""
+    multistarts, slsqp = [], []
     monkeypatch.setattr(ug, "minimize_branches",
                         recording(multistarts, ug.minimize_branches))
     monkeypatch.setattr(solvers, "minimize", recording(slsqp, solvers.minimize))
-    monkeypatch.setattr(solvers, "pattern_polish",
-                        recording(polish, solvers.pattern_polish))
     huber = zero_anchor_ctx(oracle.builtin("huber_source_abs"), 1.0)
     for shared in (apq_ctx, crossing_ctx, huber):
         ctx = frame_context(model=shared.model, frame=shared.frame)
@@ -261,11 +259,11 @@ def test_line_path_makes_no_multistart(apq_ctx, crossing_ctx, four_quadrant,
     for z in (-0.1, 0.0, 0.05):
         res = tilt.tilt_map(huber.model, np.zeros(1), 1.0, np.array([z]))
         assert res.minimizers.tolist() == [[0.0]]
-    assert not (multistarts or slsqp or polish)
+    assert not (multistarts or slsqp)
     ctx = zero_anchor_ctx(four_quadrant, 1.0)
     assert ctx.dim_vprime == 2
     ug._inner_solve(ctx, np.zeros(0))
-    assert len(multistarts) == 1 and slsqp and polish
+    assert len(multistarts) == 1 and slsqp
 
 
 def test_ball_objective_matches_scalar_form(four_quadrant):
