@@ -295,9 +295,8 @@ class Runner:
                          + (repr(val) if val is not None else "inf"))
         self.files["rank1_profile.csv"] = "\n".join(lines) + "\n"
         checks = [_check("u2_is_subspace", True, u2.shape[1]),
-                  _check("u2_within_u",
-                         profile.meta.get("u2_in_u_residual", 0.0) <= 1e-8,
-                         profile.meta.get("u2_in_u_residual", 0.0), 1e-8)]
+                  _check("u2_within_u", profile.u2_in_u_residual <= 1e-8,
+                         profile.u2_in_u_residual, 1e-8)]
         if self.model.name == "abs_diff":
             agree, total = abs_diff_rule_agreement(self.model)
             checks.append(_check("closed_form_rule_agreement", agree == total,

@@ -44,11 +44,6 @@ class SingularHessian(VULabError):
 class InconsistentGradient(VULabError):
     """Finite-difference gradient fails the subdifferential membership cross-check."""
 
-    def __init__(self, message, fd_gradient=None, polytope_distance=None):
-        super().__init__(message)
-        self.fd_gradient = fd_gradient
-        self.polytope_distance = polytope_distance
-
 
 class SolverBudgetExceeded(UserWarning):
     """Inner solver hit its iteration budget; the result is approximate."""

@@ -32,11 +32,6 @@ class ManifoldTrace:
     def dim_u(self):
         return self.u_nodes.shape[1]
 
-    def points(self):
-        """World-space trace points base + u + v(u)."""
-        return np.array([self.ctx.point(u, v)
-                         for u, v in zip(self.u_nodes, self.v_values)])
-
     def frame_coordinates(self):
         """(u, v) coordinate rows, U' block first (for envelope grids)."""
         return np.column_stack([self.u_nodes, self.v_values])
@@ -190,10 +185,9 @@ def _certified_curvature(tr, idx, certify):
     Q = 0.5 * (H + H.T) - Q_MARGIN * np.eye(k)
     if not certify:
         return Q
-    from .oracle import FunctionModel, Flags
+    from .oracle import FunctionModel
     l_model = FunctionModel(dim=k, kind="custom",
                             value_fn=lambda w: ulagrangian.l_value(ctx, w),
-                            flags=Flags(locally_lipschitz=True),
                             name="lagrangian")
     radii = tuple(0.04 * 0.5**j for j in range(6))
     for extra in (0.0, Q_MARGIN, 3 * Q_MARGIN):

@@ -112,15 +112,8 @@ class CallablePiece:
 
 @dataclass
 class Flags:
-    locally_lipschitz: bool = True
     convex: bool = False
     quadratic_minorant: tuple | None = None  # (alpha, R): alpha - R/2 ||x - xbar||^2 <= f
-
-
-@dataclass
-class ActiveSet:
-    indices: frozenset
-    tolerance: float
 
 
 @dataclass
@@ -129,7 +122,6 @@ class SubdifferentialPolytope:
 
     generators: np.ndarray  # (m, n)
     point: np.ndarray
-    exact: bool = True
 
     def __post_init__(self):
         self.generators = _dedupe(np.atleast_2d(np.asarray(self.generators, float)))
@@ -149,11 +141,12 @@ def _dedupe(rows, tol=1e-12):
 
 @dataclass
 class FunctionModel:
-    """A nonsmooth function with structured oracles and capability flags.
+    """A nonsmooth function with structured oracles and declared flags.
 
     kind is one of max_of_smooth, sum_of_smooth_and_polyhedral, custom; for
     custom models value_fn is required and subdiff_fn / gradient_fn /
-    branches are optional capabilities.
+    branches are optional capabilities.  flags declares what the oracles
+    cannot show: convexity and a quadratic minorant.
     """
 
     dim: int
@@ -247,8 +240,9 @@ def evaluate_many(model, X):
 
 
 def active_set(model, x, tau):
-    """Indices i with f(x) - f_i(x) <= tau * (1 + |f(x)|), where f_i is the
-    full selection (for the sum kind: smooth part plus affine piece i)."""
+    """The frozenset of indices i with f(x) - f_i(x) <= tau * (1 + |f(x)|),
+    where f_i is the full selection (for the sum kind: smooth part plus
+    affine piece i)."""
     x = _check_point(model, x)
     fx = evaluate(model, x)
     thresh = tau * (1.0 + abs(fx))
@@ -260,8 +254,7 @@ def active_set(model, x, tau):
         gaps = [top - v for v in vals]
     else:
         raise CapabilityMissing("active sets need a max-of-pieces structure")
-    idx = frozenset(i for i, g in enumerate(gaps) if g <= thresh)
-    return ActiveSet(indices=idx, tolerance=tau)
+    return frozenset(i for i, g in enumerate(gaps) if g <= thresh)
 
 
 def subdifferential_polytope(model, x):
@@ -270,7 +263,7 @@ def subdifferential_polytope(model, x):
     x = _check_point(model, x)
     if model.kind == "max_of_smooth":
         act = active_set(model, x, DEFAULT_ACTIVE_TOL)
-        gens = [model.pieces[i].gradient(x) for i in sorted(act.indices)]
+        gens = [model.pieces[i].gradient(x) for i in sorted(act)]
         return SubdifferentialPolytope(np.array(gens), x)
     if model.kind == "sum_of_smooth_and_polyhedral":
         smooth = np.zeros(model.dim)
@@ -279,14 +272,14 @@ def subdifferential_polytope(model, x):
         if model.polyhedral_part:
             act = active_set(model, x, DEFAULT_ACTIVE_TOL)
             gens = [smooth + model.polyhedral_part[i].gradient(x)
-                    for i in sorted(act.indices)]
+                    for i in sorted(act)]
         else:
             gens = [smooth]
         return SubdifferentialPolytope(np.array(gens), x)
     if model.subdiff_fn is not None:
         return SubdifferentialPolytope(np.atleast_2d(model.subdiff_fn(x)), x)
     if model.gradient_fn is not None:
-        return SubdifferentialPolytope(np.atleast_2d(model.gradient_fn(x)), x, exact=False)
+        return SubdifferentialPolytope(np.atleast_2d(model.gradient_fn(x)), x)
     raise CapabilityMissing("custom model has no subgradient oracle")
 
 
@@ -297,7 +290,7 @@ def _abs_diff():
     pieces = [AffinePiece([1.0, -1.0]), AffinePiece([-1.0, 1.0])]
     m = FunctionModel(
         dim=2, kind="max_of_smooth", pieces=pieces,
-        flags=Flags(locally_lipschitz=True, convex=True, quadratic_minorant=(0.0, 0.0)),
+        flags=Flags(convex=True, quadratic_minorant=(0.0, 0.0)),
         name="abs_diff")
     m.meta = {
         "default_base_point": np.zeros(2),
@@ -315,8 +308,7 @@ def _crossing_max():
     base = np.array([0.0, (3.0 - SQRT5) / 2.0])
     m = FunctionModel(
         dim=2, kind="max_of_smooth", pieces=pieces,
-        flags=Flags(locally_lipschitz=True, convex=True,
-                    quadratic_minorant=(0.0, 0.0)),
+        flags=Flags(convex=True, quadratic_minorant=(0.0, 0.0)),
         name="crossing_max")
     m.meta = {
         "default_base_point": base,
@@ -343,7 +335,7 @@ def _abs_plus_quad():
         dim=2, kind="sum_of_smooth_and_polyhedral",
         pieces=[QuadraticPiece(2.0 * np.eye(2))],
         polyhedral_part=[AffinePiece([1.0, -1.0]), AffinePiece([-1.0, 1.0])],
-        flags=Flags(locally_lipschitz=True, convex=True, quadratic_minorant=(0.0, 0.0)),
+        flags=Flags(convex=True, quadratic_minorant=(0.0, 0.0)),
         name="abs_plus_quad")
     m.meta = {
         "default_base_point": np.zeros(2),
@@ -383,7 +375,7 @@ def _four_quadrant():
     m = FunctionModel(
         dim=2, kind="custom", value_fn=_four_quadrant_value,
         subdiff_fn=_four_quadrant_subdiff, branches=branches,
-        flags=Flags(locally_lipschitz=True, convex=False, quadratic_minorant=(0.0, 0.0)),
+        flags=Flags(convex=False, quadratic_minorant=(0.0, 0.0)),
         name="four_quadrant_max")
     m.meta = {
         "default_base_point": np.zeros(2),
@@ -399,7 +391,7 @@ def _huber_source_abs():
     pieces = [AffinePiece([1.0]), AffinePiece([-1.0])]
     m = FunctionModel(
         dim=1, kind="max_of_smooth", pieces=pieces,
-        flags=Flags(locally_lipschitz=True, convex=True, quadratic_minorant=(0.0, 0.0)),
+        flags=Flags(convex=True, quadratic_minorant=(0.0, 0.0)),
         name="huber_source_abs")
     m.meta = {
         "default_base_point": np.zeros(1),
@@ -418,8 +410,7 @@ def _quadratic(A, name):
     minorant = (0.0, max(0.0, -2.0 * eig.min()))
     m = FunctionModel(
         dim=n, kind="max_of_smooth", pieces=[QuadraticPiece(A)],
-        flags=Flags(locally_lipschitz=True, convex=convex,
-                    quadratic_minorant=minorant),
+        flags=Flags(convex=convex, quadratic_minorant=minorant),
         name=name)
     m.meta = {
         "default_base_point": np.zeros(n),
@@ -471,10 +462,12 @@ def builtin(name):
 # JSON problem files
 
 def model_from_dict(data):
-    """Build a model from {dim, kind, pieces: [...], flags: {...}}.
+    """Build a model from {dim, kind, name, pieces: [...], polyhedral_part:
+    [...], flags: {...}}.
 
-    Raises ValueError for a missing required key, an unknown piece type or a
-    quadratic piece whose A is not exactly symmetric."""
+    Raises ValueError for a missing required key, an unknown key at the top
+    level, in flags or in a piece, an unknown piece type or a quadratic
+    piece whose A is not exactly symmetric."""
     try:
         return _model_from_dict(data)
     except KeyError as exc:
@@ -482,9 +475,28 @@ def model_from_dict(data):
             from None
 
 
+# The keys a problem may use: at the top level, in flags and per piece type
+# (polyhedral_part holds affine pieces).
+_PROBLEM_KEYS = ("dim", "kind", "name", "pieces", "polyhedral_part", "flags")
+_FLAG_KEYS = ("convex", "quadratic_minorant")
+_PIECE_KEYS = {"quadratic": ("type", "A", "b", "c"),
+               "affine": ("type", "a", "b")}
+
+
+def _reject_unknown(where, table, known):
+    unknown = sorted(set(table) - set(known))
+    if unknown:
+        raise ValueError(f"unknown {where} key {unknown[0]!r}; "
+                         f"expected one of {list(known)}")
+
+
 def _model_from_dict(data):
+    _reject_unknown("problem", data, _PROBLEM_KEYS)
     pieces = []
     for i, p in enumerate(data.get("pieces", [])):
+        if p["type"] not in _PIECE_KEYS:
+            raise ValueError(f"unknown piece type {p['type']!r}")
+        _reject_unknown(f"pieces[{i}]", p, _PIECE_KEYS[p["type"]])
         if p["type"] == "quadratic":
             piece = QuadraticPiece(p["A"], p.get("b"), p.get("c", 0.0))
             # gradient() returns A x + b, which is the gradient only for a
@@ -492,17 +504,18 @@ def _model_from_dict(data):
             if not np.array_equal(piece.A, piece.A.T):
                 raise ValueError(f"pieces[{i}]: quadratic A is not symmetric")
             pieces.append(piece)
-        elif p["type"] == "affine":
-            pieces.append(AffinePiece(p["a"], p.get("b", 0.0)))
         else:
-            raise ValueError(f"unknown piece type {p['type']!r}")
+            pieces.append(AffinePiece(p["a"], p.get("b", 0.0)))
     poly = None
     if "polyhedral_part" in data:
-        poly = [AffinePiece(p["a"], p.get("b", 0.0)) for p in data["polyhedral_part"]]
+        poly = []
+        for i, p in enumerate(data["polyhedral_part"]):
+            _reject_unknown(f"polyhedral_part[{i}]", p, _PIECE_KEYS["affine"])
+            poly.append(AffinePiece(p["a"], p.get("b", 0.0)))
     fl = data.get("flags", {})
+    _reject_unknown("flags", fl, _FLAG_KEYS)
     qm = fl.get("quadratic_minorant")
-    flags = Flags(locally_lipschitz=fl.get("locally_lipschitz", True),
-                  convex=fl.get("convex", False),
+    flags = Flags(convex=fl.get("convex", False),
                   quadratic_minorant=tuple(qm) if qm is not None else None)
     return FunctionModel(dim=int(data["dim"]), kind=data["kind"], pieces=pieces,
                          polyhedral_part=poly, flags=flags,

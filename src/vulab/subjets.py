@@ -10,7 +10,7 @@ by neighbouring kinks (they see only the non-limiting subjet).
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -184,9 +184,12 @@ def _shell_traces(model, sites, specs):
 
 @dataclass
 class RankOneResult:
-    divergent: bool
-    value: float | None
+    value: float | None          # None when divergent
     shells: list  # per-probe (trace_plus, trace_minus)
+
+    @property
+    def divergent(self):
+        return self.value is None
 
 
 from .solvers import hull_point_candidates as _z_candidates
@@ -273,7 +276,6 @@ def rank1_supports(model, x, z, H, probes=None):
                    for s in range(len(sites))]
         divergent = any(r[0] for r in results)
         out.append(RankOneResult(
-            divergent=divergent,
             value=None if divergent else max(r[1] for r in results),
             shells=[r[2] for r in results]))
     return out
@@ -286,56 +288,11 @@ GRID_TOL = 1e-10
 class RankOneProfile:
     directions: np.ndarray
     values: list                 # float per direction, None when divergent
-    support: object = None       # callable H -> RankOneResult per row of H
-    meta: dict = field(default_factory=dict)
+    support: object              # callable H -> RankOneResult per row of H
+    u2_in_u_residual: float      # largest distance of a U^2 basis vector to U
 
     def finite_directions(self):
-        return np.array([d for d, v in zip(self.directions, self.values)
-                         if v is not None]).reshape(-1, self.directions.shape[1])
-
-    def _grid_value(self, d):
-        """q at the first profile direction within GRID_TOL of the unit d
-        (inf when divergent), or None when d is off the grid."""
-        D = self.directions - d
-        hits = np.flatnonzero(np.sqrt(np.vecdot(D, D)) <= GRID_TOL)
-        if not hits.size:
-            return None
-        v = self.values[hits[0]]
-        return np.inf if v is None else v
-
-    def prefetch(self, points):
-        """Fill the value_at cache for every point off the profile grid with
-        one batched support call, in the order value_at would meet them."""
-        cache = self.meta.setdefault("_value_cache", {})
-        todo = {}
-        for h in points:
-            h = np.asarray(h, dtype=float)
-            n = np.linalg.norm(h)
-            if n < 1e-15:
-                continue
-            d = h / n
-            key = tuple(np.round(d, 12))
-            if (key not in cache and key not in todo
-                    and self._grid_value(d) is None):
-                todo[key] = d
-        if todo:
-            results = self.support(np.array(list(todo.values())))
-            for key, res in zip(todo, results):
-                cache[key] = np.inf if res.divergent else res.value
-
-    def value_at(self, h):
-        """Degree-2 homogeneous evaluation, reusing profile directions when
-        aligned and re-evaluating (with caching) otherwise."""
-        h = np.asarray(h, dtype=float)
-        n = np.linalg.norm(h)
-        if n < 1e-15:
-            return 0.0
-        d = h / n
-        v = self._grid_value(d)
-        if v is not None:
-            return v * n**2
-        self.prefetch([h])
-        return self.meta["_value_cache"][tuple(np.round(d, 12))] * n**2
+        return self.directions[[v is not None for v in self.values]]
 
 
 # 2-D profile directions, and the midpoints checked for closure.
@@ -371,14 +328,9 @@ def second_order_component(model, x, z):
                 owner[j] = i
     results = dict(zip(searched, rank1_supports(model, x, z, dir_grid[searched],
                                                 probes)))
-    values = [None if results[i].divergent else results[i].value
-              for i in owner]
+    values = [results[i].value for i in owner]
 
-    profile = RankOneProfile(
-        directions=dir_grid, values=values,
-        support=lambda H: rank1_supports(model, x, z, H, probes))
-
-    finite = profile.finite_directions()
+    finite = dir_grid[[v is not None for v in values]]
     if len(finite) == 0:
         u2 = np.zeros((model.dim, 0))
     else:
@@ -407,14 +359,17 @@ def second_order_component(model, x, z):
             raise NotASubspace(
                 "finite-direction set is not closed under midpoints")
     frame = vu.decompose(poly, z)
+    angle = 0.0
     if u2.shape[1]:
         resid = u2 - frame.u_basis @ (frame.u_basis.T @ u2)
         angle = float(np.max(np.linalg.norm(resid, axis=0)))
-        profile.meta["u2_in_u_residual"] = angle
         if angle > 1e-8:
             warnings.warn("second-order component is not contained in U",
                           stacklevel=2)
-    return u2, profile
+    return u2, RankOneProfile(
+        directions=dir_grid, values=values,
+        support=lambda H: rank1_supports(model, x, z, H, probes),
+        u2_in_u_residual=angle)
 
 
 # ---------------------------------------------------------------------------
@@ -504,10 +459,10 @@ def limiting_hessians(model, x, z, radii=(0.1, 0.05, 0.02, 0.01),
                 act = active_set(model, p, DEFAULT_ACTIVE_TOL)
             except CapabilityMissing:
                 act = None
-            if act is not None and len(act.indices) != 1:
+            if act is not None and len(act) != 1:
                 continue  # kink point, no classical Hessian
             if model.kind == "max_of_smooth":
-                i = next(iter(act.indices))
+                i = next(iter(act))
                 grad = model.pieces[i].gradient(p)
                 H = model.pieces[i].hessian(p)
                 source = "analytic"
@@ -515,7 +470,7 @@ def limiting_hessians(model, x, z, radii=(0.1, 0.05, 0.02, 0.01),
                 grad = sum(pc.gradient(p) for pc in model.pieces)
                 H = sum(pc.hessian(p) for pc in model.pieces)
                 if act is not None:
-                    i = next(iter(act.indices))
+                    i = next(iter(act))
                     grad = grad + model.polyhedral_part[i].gradient(p)
                 source = "analytic"
         elif model.gradient_fn is not None:
@@ -572,9 +527,10 @@ def lambda_too_large(model, lam):
 
 def prox_points(model, lam, x):
     """Envelope value, the prox points at x and whether a solver hit its
-    budget (the points are then approximate).  The prox points are every
-    minimizer that cluster_minimizers keeps, nearest to x first; more than
-    one point means the prox is set-valued at x.
+    budget (the points are then approximate, and SolverBudgetExceeded is
+    warned).  The prox points are every minimizer that cluster_minimizers
+    keeps, nearest to x first; more than one point means the prox is
+    set-valued at x.
 
     Requires lam > 0 and, when a quadratic minorant (alpha, R) is declared,
     R < 1/lam; the value is the objective at the first prox point.
@@ -597,12 +553,18 @@ def prox_points(model, lam, x):
                 + np.sum((x - U) ** 2, axis=1) / (2.0 * lam))
 
     for attempt in range(3):
-        res = minimize_branches(branches, objective, x, radius)
+        # an attempt on the search-ball boundary is discarded, and so are
+        # its solver warnings
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            res = minimize_branches(branches, objective, x, radius)
         reps, best = cluster_minimizers(res.points, res.values,
                                         1e-9 * (1 + abs(res.values.min())), 1e-9)
         reps = np.array(sorted(reps, key=lambda p: (np.linalg.norm(p - x),
                                                     tuple(p))), dtype=float)
         if np.linalg.norm(reps[0] - x) < radius * (1.0 - 1e-6):
+            for w in caught:
+                warnings.warn(w.message, stacklevel=2)
             return float(objective(reps[:1])[0]), reps, res.approximate
         radius *= 4.0
     raise LambdaTooLarge("prox search kept hitting the search-ball boundary")
@@ -627,7 +589,7 @@ def moreau_model(model, lam):
 
     out = FunctionModel(
         dim=model.dim, kind="custom", value_fn=value_fn, gradient_fn=gradient_fn,
-        flags=Flags(locally_lipschitz=True, convex=model.flags.convex),
+        flags=Flags(convex=model.flags.convex),
         name=f"moreau({model.name},{lam})")
     out.meta = {"source": "moreau", "lam": lam,
                 "default_base_point": model.meta.get("default_base_point",
@@ -646,11 +608,14 @@ PARA_MAX_DIRS = 8
 
 def para_convexity_check(profile, r):
     """Worst midpoint-convexity violation of h -> q(h) + r||h||^2 over points
-    built from the finite directions, after degree-2 homogeneous extension.
+    built from the finite directions, after degree-2 homogeneous extension
+    q(h) = q(h/||h||) ||h||^2.
 
-    Midpoint directions off the profile grid are re-evaluated through the
-    profile's support callable (one batched call, then cached), so the check
-    stays exact rather than interpolated."""
+    q at a unit direction is the value of the first profile direction within
+    GRID_TOL of it (inf when divergent).  Directions off the profile grid are
+    evaluated by one batched call of the profile's support callable, once
+    per direction rounded to 12 digits, so the check stays exact rather than
+    interpolated."""
     finite = profile.finite_directions()
     if len(finite) == 0:
         return 0.0
@@ -658,19 +623,38 @@ def para_convexity_check(profile, r):
         stride = int(np.ceil(len(finite) / PARA_MAX_DIRS))
         finite = finite[::stride]
     pts = [t * d for d in finite for t in PARA_TS]
-    triples = [(0.5 * (pts[i] + pts[j]), pts[i], pts[j])
-               for i in range(len(pts)) for j in range(i, len(pts))]
-    profile.prefetch([w for triple in triples for w in triple])
-
-    def g(w):
-        return profile.value_at(w) + r * float(np.dot(w, w))
-
+    # (midpoint, end, end) triples, flattened
+    points = [w for i in range(len(pts)) for j in range(i, len(pts))
+              for w in (0.5 * (pts[i] + pts[j]), pts[i], pts[j])]
+    norms = [np.linalg.norm(h) for h in points]
+    q = []          # per point: q at its unit direction, or its off-grid key
+    off_grid = {}
+    for h, n in zip(points, norms):
+        if n < 1e-15:
+            q.append(0.0)
+            continue
+        d = h / n
+        D = profile.directions - d
+        hits = np.flatnonzero(np.sqrt(np.vecdot(D, D)) <= GRID_TOL)
+        if hits.size:
+            v = profile.values[hits[0]]
+            q.append(np.inf if v is None else v)
+        else:
+            key = tuple(np.round(d, 12))
+            off_grid.setdefault(key, d)
+            q.append(key)
+    if off_grid:
+        results = profile.support(np.array(list(off_grid.values())))
+        fetched = {key: np.inf if res.divergent else res.value
+                   for key, res in zip(off_grid, results)}
+        q = [fetched[v] if isinstance(v, tuple) else v for v in q]
+    g = [v * n ** 2 + r * float(np.dot(h, h))
+         for v, n, h in zip(q, norms, points)]
     worst = -np.inf
-    for m, a, b in triples:
-        gm = g(m)
+    for gm, ga, gb in zip(g[0::3], g[1::3], g[2::3]):
         if not np.isfinite(gm):
             gm = np.inf
-        worst = max(worst, gm - 0.5 * (g(a) + g(b)))
+        worst = max(worst, gm - 0.5 * (ga + gb))
     return float(worst)
 
 

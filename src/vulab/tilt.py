@@ -20,22 +20,28 @@ class TiltProbeResult:
     z: np.ndarray
     minimizers: np.ndarray   # distinct near-optimal points, smallest norm first
     value: float
-    single_valued: bool
     approximate: bool = False
 
     @property
     def minimizer(self):
         return self.minimizers[0]
 
+    @property
+    def single_valued(self):
+        return len(self.minimizers) == 1
+
 
 @dataclass
 class StabilityVerdict:
-    stable: bool
     lipschitz_estimate: float
     witness: np.ndarray | None
     grid_radius: float
-    status: str = "stable"   # stable | unstable | inconclusive
+    status: str              # stable | unstable | inconclusive
     probes: list = field(default_factory=list)
+
+    @property
+    def stable(self):
+        return self.status == "stable"
 
 
 def tilt_map(model, base_point, eps, z):
@@ -51,21 +57,26 @@ def tilt_map(model, base_point, eps, z):
                                           AffinePiece(-z), eps)
     return TiltProbeResult(z=z, minimizers=base_point + V,
                            value=best - float(z @ base_point),
-                           single_valued=len(V) == 1, approximate=approximate)
+                           approximate=approximate)
 
 
-def tilt_stability_test(model, base_point, eps, tilt_radius=None, grid_size=11):
-    """Probe the tilt map on a deterministic grid of tilts around zero.
+# Tilts per axis of the lattice in the tilt_radius-ball that
+# tilt_stability_test probes.
+TILTS_PER_AXIS = 11
+
+
+def tilt_stability_test(model, base_point, eps, tilt_radius):
+    """Probe the tilt map on a deterministic lattice of tilts in the
+    tilt_radius-ball around zero.
 
     Requires 0 in the subdifferential hull at base_point.  The Lipschitz
     estimate is the max pairwise difference quotient of the tilt map.
     """
     base_point = np.asarray(base_point, dtype=float)
-    tilt_radius = tilt_radius if tilt_radius is not None else eps / 10.0
     poly = subdifferential_polytope(model, base_point)
     if not in_hull(poly.generators, np.zeros(model.dim)):
         raise ValueError("0 is not in the subdifferential hull at the base point")
-    tilts = ball_lattice(model.dim, tilt_radius, grid_size)
+    tilts = ball_lattice(model.dim, tilt_radius, TILTS_PER_AXIS)
     probes = [tilt_map(model, base_point, eps, z) for z in tilts]
     approximate = any(p.approximate for p in probes)
 
@@ -82,8 +93,7 @@ def tilt_stability_test(model, base_point, eps, tilt_radius=None, grid_size=11):
     lip = lipschitz_estimate(probes)
     stable = witness is None and center_ok
     status = "inconclusive" if approximate else ("stable" if stable else "unstable")
-    return StabilityVerdict(stable=stable and not approximate,
-                            lipschitz_estimate=lip, witness=witness,
+    return StabilityVerdict(lipschitz_estimate=lip, witness=witness,
                             grid_radius=tilt_radius, status=status, probes=probes)
 
 

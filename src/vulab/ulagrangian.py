@@ -216,8 +216,7 @@ def grad_l(ctx, u, validate=True):
         dist = hull_distance(poly.generators, world)
         if dist > MEMBERSHIP_TOL:
             raise InconsistentGradient(
-                f"finite-difference gradient {g} lies {dist:.2e} from the hull",
-                fd_gradient=g, polytope_distance=dist)
+                f"finite-difference gradient {g} lies {dist:.2e} from the hull")
     return g
 
 

@@ -48,8 +48,7 @@ def neg_norm_squared():
     return oracle.FunctionModel(
         dim=2, kind="max_of_smooth",
         pieces=[oracle.QuadraticPiece(-2.0 * np.eye(2))],
-        flags=oracle.Flags(locally_lipschitz=True, convex=False,
-                           quadratic_minorant=(0.0, 2.0)),
+        flags=oracle.Flags(convex=False, quadratic_minorant=(0.0, 2.0)),
         name="neg_norm_squared")
 
 

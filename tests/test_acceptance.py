@@ -147,11 +147,11 @@ def test_criterion_10_lower_taylor(apq_trace, crossing_trace):
 
 
 def test_criterion_11_tilt_chain(abs_plus_quad, abs_diff):
-    va = tilt.tilt_stability_test(abs_plus_quad, np.zeros(2), 1.0)
+    va = tilt.tilt_stability_test(abs_plus_quad, np.zeros(2), 1.0, 0.1)
     env_a = subjets.moreau_model(abs_plus_quad, 1.0)
     beta_a = subjets.tilt_criterion_c11(subjets.limiting_hessians(
         env_a, np.zeros(2), np.zeros(2), radii=(0.1, 0.05), n_dirs=8))
-    vd = tilt.tilt_stability_test(abs_diff, np.zeros(2), 1.0)
+    vd = tilt.tilt_stability_test(abs_diff, np.zeros(2), 1.0, 0.1)
     env_d = subjets.moreau_model(abs_diff, 1.0)
     beta_d = subjets.tilt_criterion_c11(subjets.limiting_hessians(
         env_d, np.zeros(2), np.zeros(2), radii=(0.1, 0.05), n_dirs=8))

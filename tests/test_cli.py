@@ -137,8 +137,7 @@ def test_exit_code_on_hard_failure(tmp_path):
     problem = {"dim": 1, "kind": "max_of_smooth", "name": "concave",
                "pieces": [{"type": "quadratic", "A": [[-2.0]], "b": [0.0],
                            "c": 0.0}],
-               "flags": {"locally_lipschitz": True, "convex": False,
-                         "quadratic_minorant": [0.0, 2.0]}}
+               "flags": {"convex": False, "quadratic_minorant": [0.0, 2.0]}}
     ppath = tmp_path / "concave.json"
     ppath.write_text(json.dumps(problem))
     config = cli.ExperimentConfig(problem=str(ppath), campaign=["lagrangian"],
@@ -236,9 +235,8 @@ def test_manifold_inconclusive_tilt_verdict_exits_inconclusive(tmp_path,
     """A tilt verdict left inconclusive by a solver budget leaves the
     manifold precondition inconclusive, not skipped, and the run exits 2."""
     from vulab import tilt
-    verdict = tilt.StabilityVerdict(stable=False, lipschitz_estimate=1.0,
-                                    witness=None, grid_radius=0.1,
-                                    status="inconclusive")
+    verdict = tilt.StabilityVerdict(lipschitz_estimate=1.0, witness=None,
+                                    grid_radius=0.1, status="inconclusive")
     monkeypatch.setattr(tilt, "tilt_stability_test",
                         lambda *args: verdict)
     config = cli.ExperimentConfig(problem="abs_plus_quad",
@@ -285,6 +283,19 @@ NO_DIM = {k: v for k, v in QUADRATIC.items() if k != "dim"}
 @pytest.mark.parametrize("flag, content, needle", [
     pytest.param("--problem", SKEW, "not symmetric", id="nonsymmetric_A"),
     pytest.param("--problem", NO_DIM, "'dim'", id="missing_dim"),
+    pytest.param("--problem", dict(QUADRATIC, polyhedral_parts=[]),
+                 "problem key 'polyhedral_parts'", id="unknown_problem_key"),
+    pytest.param("--problem", dict(QUADRATIC, flags={"convx": True}),
+                 "flags key 'convx'", id="unknown_flags_key"),
+    pytest.param("--problem", dict(QUADRATIC,
+                                   flags={"locally_lipschitz": True}),
+                 "flags key 'locally_lipschitz'", id="removed_flags_key"),
+    pytest.param("--problem", dict(QUADRATIC, pieces=[
+        {"type": "quadratic", "A": [[1.0, 0.0], [0.0, 1.0]], "a": [0.0]}]),
+                 "pieces[0] key 'a'", id="unknown_piece_key"),
+    pytest.param("--problem", dict(QUADRATIC, polyhedral_part=[
+        {"type": "affine", "a": [1.0, 0.0], "c": 0.0}]),
+                 "polyhedral_part[0] key 'c'", id="unknown_polyhedral_key"),
     pytest.param("--problem", None, "no_such_model", id="unknown_builtin"),
     pytest.param("--config", {"problem": "abs_diff", "workerz": 2}, "workerz",
                  id="unknown_config_key"),
@@ -390,8 +401,7 @@ def tilted_abs_problem():
     return {"dim": 2, "kind": "max_of_smooth", "name": "tilted_abs",
             "pieces": [{"type": "affine", "a": a},
                        {"type": "affine", "a": [-a[0], -a[1]]}],
-            "flags": {"locally_lipschitz": True, "convex": True,
-                      "quadratic_minorant": [0.0, 0.0]}}
+            "flags": {"convex": True, "quadratic_minorant": [0.0, 0.0]}}
 
 
 def test_uprime_outside_u_fails_the_campaign(tmp_path):

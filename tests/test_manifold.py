@@ -27,12 +27,12 @@ def test_trace_rejects_large_delta(apq_ctx):
         mf.trace(apq_ctx, 5.0, 11)
 
 
-def test_trace_requires_stability_when_supplied(abs_diff):
+def test_trace_requires_stability_when_supplied(abs_diff, monkeypatch):
     poly = oracle.subdifferential_polytope(abs_diff, np.zeros(2))
     frame = vu.decompose(poly, np.zeros(2), eps=1.0)
     ctx = frame_context(model=abs_diff, frame=frame)
-    verdict = tilt.tilt_stability_test(abs_diff, np.zeros(2), 1.0,
-                                       grid_size=3)
+    monkeypatch.setattr(tilt, "TILTS_PER_AXIS", 3)
+    verdict = tilt.tilt_stability_test(abs_diff, np.zeros(2), 1.0, 0.1)
     with pytest.raises(ValueError):
         mf.trace(ctx, 0.2, 7, stability=verdict)
 

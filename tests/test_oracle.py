@@ -55,9 +55,9 @@ def test_max_of_smooth_eval_is_max_of_pieces(crossing, abs_diff, abs_plus_quad):
 
 def test_active_set_examples(crossing, abs_diff):
     base = crossing.meta["default_base_point"]
-    assert oracle.active_set(crossing, [0.0, 0.0], 1e-9).indices == {0}
-    assert oracle.active_set(crossing, base, 1e-9).indices == {0, 1}
-    assert oracle.active_set(abs_diff, [0.0, 0.0], 1e-9).indices == {0, 1}
+    assert oracle.active_set(crossing, [0.0, 0.0], 1e-9) == {0}
+    assert oracle.active_set(crossing, base, 1e-9) == {0, 1}
+    assert oracle.active_set(abs_diff, [0.0, 0.0], 1e-9) == {0, 1}
     # crossing point solves (v-1)^2 = v
     v = base[1]
     assert (v - 1.0) ** 2 == pytest.approx(v, abs=1e-14)
@@ -71,7 +71,7 @@ def test_active_set_invariant(crossing):
         fx = oracle.evaluate(crossing, x)
         for i, p in enumerate(crossing.pieces):
             in_set = fx - p.value(x) <= tau * (1.0 + abs(fx))
-            assert (i in act.indices) == in_set
+            assert (i in act) == in_set
 
 
 def test_polytope_examples(abs_diff, four_quadrant, crossing):
@@ -106,7 +106,7 @@ def test_generators_match_finite_differences(crossing, abs_plus_quad):
         act = oracle.active_set(model, x, 1e-9)
         gens = oracle.subdifferential_polytope(model, x).generators
         cands = []
-        for i in act.indices:
+        for i in act:
             if model.kind == "max_of_smooth":
                 cands.append(fd(model.pieces[i].value, x))
             else:
@@ -153,7 +153,6 @@ def test_lipschitz_flag_by_difference_quotients():
     for name in ("abs_diff", "abs_plus_quad", "crossing_max",
                  "four_quadrant_max", "quadratic(diag(1,10))"):
         model = oracle.builtin(name)
-        assert model.flags.locally_lipschitz
         pts = rng.uniform(-2, 2, size=(300, model.dim))
         worst = 0.0
         for i in range(0, len(pts) - 1, 2):
@@ -167,7 +166,6 @@ def test_lipschitz_flag_by_difference_quotients():
 
 
 def test_builtin_flags(four_quadrant):
-    assert four_quadrant.flags.locally_lipschitz
     assert not four_quadrant.flags.convex
     assert oracle.builtin("quadratic(-I)").flags.convex is False
 
@@ -200,8 +198,7 @@ def test_json_problem_round_trip(tmp_path):
                     "b": [0.0, 0.0], "c": 0.0}],
         "polyhedral_part": [{"type": "affine", "a": [1.0, -1.0], "b": 0.0},
                             {"type": "affine", "a": [-1.0, 1.0], "b": 0.0}],
-        "flags": {"locally_lipschitz": True, "convex": True,
-                  "quadratic_minorant": [0.0, 0.0]},
+        "flags": {"convex": True, "quadratic_minorant": [0.0, 0.0]},
     }
     path = tmp_path / "toy.json"
     path.write_text(json.dumps(data))

@@ -114,7 +114,7 @@ def test_second_order_components(abs_diff_component, four_quadrant_component,
     u2, profile = abs_diff_component
     assert u2.shape[1] == 1
     assert vu.principal_angle(u2, abs_diff.meta["known_u"]) <= 1e-6
-    assert profile.meta["u2_in_u_residual"] <= 1e-8
+    assert profile.u2_in_u_residual <= 1e-8
     u2q, _ = four_quadrant_component
     assert u2q.shape[1] == 0
     u2a, _ = apq_component
@@ -223,6 +223,24 @@ def test_prox_points_carry_the_budget_flag(four_quadrant, monkeypatch):
     _, _, capped = sj.prox_points(oracle.builtin("huber_source_abs"), 0.5,
                                   np.array([0.3]))
     assert not capped
+
+
+def test_only_the_returned_prox_attempt_warns(four_quadrant, monkeypatch):
+    """-||x||^2 without a declared minorant: every prox attempt lands on its
+    search ball and is discarded, so the SLSQP solve that hits its budget on
+    the way warns nothing and only LambdaTooLarge comes out.  A returned
+    approximate result still warns."""
+    neg_norm = oracle.model_from_dict(
+        {"dim": 2, "kind": "max_of_smooth",
+         "pieces": [{"type": "quadratic", "A": [[-2.0, 0.0], [0.0, -2.0]]}]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", SolverBudgetExceeded)
+        with pytest.raises(LambdaTooLarge):
+            sj.prox_points(neg_norm, 0.5, np.array([0.3, 0.0]))
+    monkeypatch.setattr(solvers, "MAX_ITERS", 1)
+    with pytest.warns(SolverBudgetExceeded):
+        _, _, capped = sj.prox_points(four_quadrant, 0.5, np.array([0.3, 0.0]))
+    assert capped
 
 
 @pytest.mark.parametrize("name", ["huber_source_abs", "abs_plus_quad",
@@ -429,10 +447,10 @@ def test_second_order_component_batches_its_searches(name, monkeypatch):
 @pytest.mark.parametrize("name,batches", [("quadratic(diag(1,10))", 1),
                                           ("abs_plus_quad", 0)])
 def test_appendix_checks_batch_their_support_calls(name, batches):
-    """para_convexity_check fills the profile cache with one batched support
-    call (none when every midpoint lies on the profile grid, as on the
-    finite line of abs_plus_quad) and uniform_bound_check makes one; both
-    equal the values of one direction at a time."""
+    """para_convexity_check evaluates its off-grid directions with one
+    batched support call (none when every midpoint lies on the profile
+    grid, as on the finite line of abs_plus_quad) and uniform_bound_check
+    makes one; both equal the values of one direction at a time."""
     model = oracle.builtin(name)
     x, z = np.zeros(2), np.zeros(2)
     u2, profile = sj.second_order_component(model, x, z)

@@ -54,7 +54,7 @@ def reference_tilt_map(model, base_point, eps, z):
     return reps, best, res.approximate
 
 
-@pytest.mark.filterwarnings("ignore::vulab.errors.SolverBudgetExceeded")
+@pytest.mark.filterwarnings("error::vulab.errors.SolverBudgetExceeded")
 def test_tilt_map_matches_absolute_reference(abs_diff, abs_plus_quad,
                                              four_quadrant, crossing):
     """The ball solve in coordinates relative to the base point reproduces
@@ -127,14 +127,14 @@ def test_probe_result_invariants(abs_diff):
 
 
 def test_stability_verdicts(abs_plus_quad, abs_diff):
-    v = tilt.tilt_stability_test(abs_plus_quad, np.zeros(2), 1.0)
+    v = tilt.tilt_stability_test(abs_plus_quad, np.zeros(2), 1.0, 0.1)
     assert v.stable and v.status == "stable"
     assert v.lipschitz_estimate <= 0.5 + 1e-3
-    v2 = tilt.tilt_stability_test(abs_diff, np.zeros(2), 1.0)
+    v2 = tilt.tilt_stability_test(abs_diff, np.zeros(2), 1.0, 0.1)
     assert not v2.stable and v2.status == "unstable"
     assert np.allclose(v2.witness, 0.0)
     v3 = tilt.tilt_stability_test(oracle.builtin("quadratic(diag(1,10))"),
-                                  np.zeros(2), 1.0)
+                                  np.zeros(2), 1.0, 0.1)
     assert v3.stable
     assert abs(v3.lipschitz_estimate - 1.0) <= 1e-6
 
@@ -143,7 +143,7 @@ def test_stability_center_anchored(abs_plus_quad, crossing):
     for model in (abs_plus_quad, crossing):
         base = model.meta["default_base_point"]
         eps = model.meta["default_radius"]
-        v = tilt.tilt_stability_test(model, base, eps)
+        v = tilt.tilt_stability_test(model, base, eps, eps / 10.0)
         assert v.stable
         zero_probe = next(p for p in v.probes if np.linalg.norm(p.z) < 1e-14)
         assert np.linalg.norm(zero_probe.minimizer - base) <= 1e-8
@@ -179,8 +179,9 @@ def test_tilt_map_statistics_match_pair_loops(abs_plus_quad, crossing,
                                               apq_trace, crossing_trace,
                                               crossing_ctx):
     for model in (abs_plus_quad, crossing):
+        eps = model.meta["default_radius"]
         v = tilt.tilt_stability_test(model, model.meta["default_base_point"],
-                                     model.meta["default_radius"])
+                                     eps, eps / 10.0)
         lip, mono = pairwise_statistics(v.probes)
         assert repr(v.lipschitz_estimate) == repr(float(lip))
         assert repr(tilt.monotonicity_margin(v.probes)) == repr(mono)
@@ -189,7 +190,7 @@ def test_tilt_map_statistics_match_pair_loops(abs_plus_quad, crossing,
     z = np.round(rng.uniform(-0.1, 0.1, size=(40, 3)), 2)
     z[20:] = z[:20]
     probes = [tilt.TiltProbeResult(z=zi, minimizers=rng.normal(size=(1, 3)),
-                                   value=0.0, single_valued=True) for zi in z]
+                                   value=0.0) for zi in z]
     lip, mono = pairwise_statistics(probes)
     assert repr(tilt.lipschitz_estimate(probes)) == repr(float(lip))
     assert repr(tilt.monotonicity_margin(probes)) == repr(mono)
@@ -210,9 +211,9 @@ def test_tilt_map_statistics_match_pair_loops(abs_plus_quad, crossing,
             == repr(float(pair_loop_quotient(grid, grads))))
 
 
-def test_tilt_map_monotone_for_convex(abs_plus_quad):
-    v = tilt.tilt_stability_test(abs_plus_quad, np.zeros(2), 1.0,
-                                 tilt_radius=0.1, grid_size=5)
+def test_tilt_map_monotone_for_convex(abs_plus_quad, monkeypatch):
+    monkeypatch.setattr(tilt, "TILTS_PER_AXIS", 5)
+    v = tilt.tilt_stability_test(abs_plus_quad, np.zeros(2), 1.0, 0.1)
     for i, p in enumerate(v.probes):
         for q in v.probes[i + 1:]:
             assert float((p.minimizer - q.minimizer) @ (p.z - q.z)) >= -1e-10
@@ -301,7 +302,8 @@ def test_solver_budget_flagged(abs_plus_quad, monkeypatch):
 
 def test_stability_requires_critical_base(abs_plus_quad):
     with pytest.raises(ValueError):
-        tilt.tilt_stability_test(abs_plus_quad, np.array([2.0, 2.0]), 0.5)
+        tilt.tilt_stability_test(abs_plus_quad, np.array([2.0, 2.0]), 0.5,
+                                 0.05)
 
 
 BUILTINS = ["abs_diff", "four_quadrant_max", "crossing_max", "abs_plus_quad",

@@ -148,7 +148,7 @@ def test_inconsistent_gradient_detected():
         dim=2, kind="custom",
         value_fn=lambda x: 0.5 * float(x @ x),
         subdiff_fn=lambda x: np.array([[5.0, 5.0]]),
-        flags=oracle.Flags(locally_lipschitz=True, convex=True),
+        flags=oracle.Flags(convex=True),
         name="lying")
     frame = vu.VUFrame(base_point=np.zeros(2), anchor=np.zeros(2),
                        u_basis=np.eye(2), v_basis=np.zeros((2, 0)), eps=1.0)
