@@ -1,18 +1,16 @@
-"""Grid functions, lower convex envelopes and discrete Legendre transforms.
+"""Grid functions, pointwise lower convex envelopes and discrete conjugates.
 
-The full-grid envelope goes through the lower convex hull of the lifted node
-cloud (exact at the nodes); single-point envelope queries solve the defining
-linear program over the epigraph points.  Conjugates are exact discrete
-suprema, computed separably per axis.
+An envelope query solves the defining linear program over the epigraph
+points of the grid by column generation: the restricted LP starts from the
+grid cell that contains the query point, and its duals price every node in
+one product.  Conjugates are exact discrete suprema over the nodes.
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
-from scipy.spatial import ConvexHull
-
-from .errors import DimensionTooLarge
 
 
 @dataclass
@@ -62,124 +60,63 @@ def grid_from_batches(fun_many, box, resolution):
     return gf
 
 
-def _lower_hull_1d(x, y):
-    """Lower convex hull by monotone chain; returns hull vertex indices."""
-    hull = []
-    for i in range(len(x)):
-        while len(hull) >= 2:
-            i1, i2 = hull[-2], hull[-1]
-            cross = (x[i2] - x[i1]) * (y[i] - y[i1]) - (x[i] - x[i1]) * (y[i2] - y[i1])
-            if cross <= 0.0:
-                hull.pop()
-            else:
-                break
-        hull.append(i)
-    return hull
+# Column generation in envelope_at: a round adds at most ENVELOPE_BATCH
+# nodes, the most negatively priced first, and the loop stops when no node
+# outside the restricted LP prices below -ENVELOPE_TOL.  The convex weights
+# sum to 1, so the full LP's optimum is then at most ENVELOPE_TOL below the
+# restricted one.
+ENVELOPE_BATCH = 64
+ENVELOPE_TOL = 1e-12
 
 
-def convex_envelope(gf):
-    """Pointwise lower convex envelope of the grid values at the grid nodes.
-
-    Result <= gf, equality at every hull vertex (in particular at every grid
-    argmin), and the output is discretely convex.
-    """
-    if gf.dim > 3:
-        raise DimensionTooLarge("convex envelope supported up to dimension 3")
-    finite = np.isfinite(gf.values.ravel())
-    nodes = gf.nodes()
-    vals = gf.values.ravel().copy()
-    if finite.sum() <= 1:
-        return GridFunction(gf.box, gf.resolution, vals)
-    if gf.dim == 1:
-        xf = nodes[finite, 0]
-        yf = vals[finite]
-        hull = _lower_hull_1d(xf, yf)
-        env = np.interp(nodes[:, 0], xf[hull], yf[hull], left=np.inf, right=np.inf)
-        out = np.where(finite | (env < np.inf), env, np.inf)
-        # nodes outside the finite span stay +inf
-        lo, hi = xf.min(), xf.max()
-        out[(nodes[:, 0] < lo - 1e-15) | (nodes[:, 0] > hi + 1e-15)] = np.inf
-        return GridFunction(gf.box, gf.resolution, out)
-
-    pts = np.column_stack([nodes[finite], vals[finite]])
-    try:
-        hull = ConvexHull(pts)
-    except Exception:
-        # degenerate lifted cloud over a full grid => f is affine, hence convex
-        return GridFunction(gf.box, gf.resolution, vals)
-    lower = hull.equations[hull.equations[:, -2] < -1e-12]  # facets facing down
-    # plane: a.x + b*f + c = 0 with b < 0  ->  f = (a.x + c) / (-b)
-    a = lower[:, :-2]
-    b = lower[:, -2]
-    c = lower[:, -1]
-    vertex_mask = np.zeros(int(finite.sum()), dtype=bool)
-    low_facets = np.where(hull.equations[:, -2] < -1e-12)[0]
-    for fi in low_facets:
-        vertex_mask[hull.simplices[fi]] = True
-    env = np.full(nodes.shape[0], np.inf)
-    fin_idx = np.where(finite)[0]
-    env[fin_idx[vertex_mask]] = vals[fin_idx[vertex_mask]]
-    todo = np.where(np.isinf(env))[0]
-    if len(todo):
-        X = nodes[todo]
-        chunk = max(1, int(4e6 // max(len(lower), 1)))
-        best = np.full(len(todo), -np.inf)
-        for s in range(0, len(todo), chunk):
-            blk = X[s:s + chunk]
-            planes = (blk @ a.T + c) / (-b)
-            best[s:s + chunk] = planes.max(axis=1)
-        env[todo] = best
-    if (~finite).any():
-        # nodes outside co(dom) keep +inf
-        from scipy.spatial import Delaunay
-        tri = Delaunay(nodes[finite])
-        outside = tri.find_simplex(nodes) < 0
-        env[outside] = np.inf
-    return GridFunction(gf.box, gf.resolution, env)
+def _cell_corners(gf, x):
+    """Flat node indices of the 2^d corners of the grid cell that contains x,
+    with the cell index clipped to the box."""
+    corners = []
+    for axis, xi in zip(gf.axes(), x):
+        j = min(max(int(np.searchsorted(axis, xi, side="right")) - 1, 0),
+                len(axis) - 2)
+        corners.append((j, j + 1))
+    return np.ravel_multi_index(np.array(list(itertools.product(*corners))).T,
+                                gf.resolution)
 
 
 def envelope_at(gf, x):
     """co(grid values) at a single point: min sum(lam_i f_i) over convex
-    combinations of grid nodes hitting x (the defining epigraph LP)."""
+    combinations of grid nodes hitting x (the defining epigraph LP).
+
+    Column generation: each round solves the LP over a node subset, reads
+    its equality duals (a, b) and prices every node as f_i - a.x_i - b.  It
+    starts from the corners of x's grid cell, or from every finite node when
+    a corner is +inf; +inf when the LP is infeasible (x outside the box or
+    outside the hull of the finite nodes).
+    """
+    x = np.asarray(x, dtype=float)
     nodes = gf.nodes()
     vals = gf.values.ravel()
     finite = np.isfinite(vals)
-    nodes, vals = nodes[finite], vals[finite]
-    x = np.asarray(x, dtype=float)
-    A_eq = np.vstack([nodes.T, np.ones((1, len(vals)))])
+    cols = _cell_corners(gf, x)
+    if not finite[cols].all():
+        cols = np.flatnonzero(finite)
+        if not len(cols):
+            return np.inf
     b_eq = np.append(x, 1.0)
-    res = linprog(vals, A_eq=A_eq, b_eq=b_eq, bounds=[(0.0, None)] * len(vals),
-                  method="highs")
-    if res.status != 0:
-        return np.inf
-    return float(res.fun)
-
-
-def _axis_conjugate(cur, x, z, axis):
-    """Replace grid axis `axis` (points x) by dual points z via
-    out[..., j, ...] = max_i (z_j * x_i + cur[..., i, ...]); chunked in z."""
-    moved = np.moveaxis(cur, axis, -1)
-    flat = moved.reshape(-1, moved.shape[-1])
-    out = np.full((flat.shape[0], len(z)), -np.inf)
-    chunk = max(1, int(2e6 // max(flat.size, 1)))
-    for s in range(0, len(z), chunk):
-        zz = z[s:s + chunk]
-        scores = flat[:, None, :] + zz[None, :, None] * x[None, None, :]
-        out[:, s:s + chunk] = scores.max(axis=-1)
-    out = out.reshape(moved.shape[:-1] + (len(z),))
-    return np.moveaxis(out, -1, axis)
-
-
-def legendre(gf, dual_box, dual_resolution):
-    """Discrete convex conjugate on a dual grid (separable exact max)."""
-    dual_box = np.atleast_2d(np.asarray(dual_box, dtype=float))
-    dual_res = tuple(int(r) for r in np.atleast_1d(dual_resolution))
-    cur = -np.where(np.isfinite(gf.values), gf.values, np.inf)
-    axes = gf.axes()
-    for axis in range(gf.dim):
-        z = np.linspace(dual_box[axis, 0], dual_box[axis, 1], dual_res[axis])
-        cur = _axis_conjugate(cur, axes[axis], z, axis)
-    return GridFunction(dual_box, dual_res, cur)
+    while True:
+        A_eq = np.vstack([nodes[cols].T, np.ones((1, len(cols)))])
+        res = linprog(vals[cols], A_eq=A_eq, b_eq=b_eq, bounds=(0.0, None),
+                      method="highs")
+        if res.status != 0:
+            return np.inf
+        duals = res.eqlin.marginals
+        priced = vals - nodes @ duals[:-1] - duals[-1]
+        priced[cols] = np.inf
+        new = np.flatnonzero(priced < -ENVELOPE_TOL)
+        if not len(new):
+            return float(res.fun)
+        if len(new) > ENVELOPE_BATCH:
+            cheapest = np.argpartition(priced[new], ENVELOPE_BATCH)
+            new = new[cheapest[:ENVELOPE_BATCH]]
+        cols = np.union1d(cols, new)
 
 
 def conjugate_at(gf, zs):
@@ -253,12 +190,13 @@ def conjugacy_identity_check(ctx, z_u_grid, resolution=401):
     if ctx.dim_uprime != 1:
         raise ValueError("conjugacy check implemented for 1-dimensional U'")
     lvals = np.array([ulagrangian.l_value(ctx, np.array([u])) for u in ku])
-    worst = 0.0
     h_grid = anchored_grid(ctx.model, frame, resolution=resolution)
-    for zu in np.atleast_1d(z_u_grid):
+    z_u = np.atleast_1d(z_u_grid)
+    # dual points in frame coordinates: (z_U, anchor_V), one conjugate call
+    rights = conjugate_at(h_grid, np.column_stack(
+        [z_u, np.tile(frame.anchor_v, (len(z_u), 1))]))
+    worst = 0.0
+    for zu, right in zip(z_u, rights):
         left = float(np.max(zu * ku - lvals))
-        # dual point in frame coordinates: (z_U, anchor_V)
-        z_coords = np.concatenate([[zu], frame.anchor_v])
-        right = float(conjugate_at(h_grid, z_coords[None, :])[0])
-        worst = max(worst, abs(left - right))
+        worst = max(worst, abs(left - float(right)))
     return worst

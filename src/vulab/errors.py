@@ -21,10 +21,6 @@ class AnchorNotInHull(VULabError):
     """Anchor point is not inside the generator hull (to tolerance)."""
 
 
-class DimensionTooLarge(VULabError):
-    """Grid operation requested above the supported dimension."""
-
-
 class NotASubspace(VULabError):
     """Finite-direction set of a rank-1 support fails the subspace closure test."""
 

@@ -295,7 +295,6 @@ def _abs_diff():
     m.meta = {
         "default_base_point": np.zeros(2),
         "default_radius": 1.0,
-        "known_polytope": np.array([[1.0, -1.0], [-1.0, 1.0]]),
         "known_u": np.array([[1.0], [1.0]]) / np.sqrt(2.0),
     }
     return m
@@ -313,7 +312,6 @@ def _crossing_max():
     m.meta = {
         "default_base_point": base,
         "default_radius": 0.3,
-        "known_polytope": np.array([[0.0, 1.0 - SQRT5], [0.0, 1.0]]),
         "known_u": np.array([[1.0], [0.0]]),
         "selection_closed_form": lambda u: (SQRT5 - np.sqrt(5.0 - 4.0 * u**2)) / 2.0,
         "note": (
@@ -340,7 +338,6 @@ def _abs_plus_quad():
     m.meta = {
         "default_base_point": np.zeros(2),
         "default_radius": 1.0,
-        "known_polytope": np.array([[1.0, -1.0], [-1.0, 1.0]]),
         "known_u": np.array([[1.0], [1.0]]) / np.sqrt(2.0),
     }
     return m
@@ -380,8 +377,6 @@ def _four_quadrant():
     m.meta = {
         "default_base_point": np.zeros(2),
         "default_radius": 1.0,
-        "known_polytope": np.array([[0.0, 0.0], [1.0, 1.0], [-1.0, 1.0],
-                                    [1.0, -1.0], [-1.0, -1.0]]),
         "known_u": np.zeros((2, 0)),
     }
     return m
@@ -396,7 +391,6 @@ def _huber_source_abs():
     m.meta = {
         "default_base_point": np.zeros(1),
         "default_radius": 1.0,
-        "known_polytope": np.array([[1.0], [-1.0]]),
         "known_u": np.zeros((1, 0)),
     }
     return m
@@ -415,7 +409,6 @@ def _quadratic(A, name):
     m.meta = {
         "default_base_point": np.zeros(n),
         "default_radius": 1.0,
-        "known_polytope": np.zeros((1, n)),
         "known_u": np.eye(n),
         "matrix": A,
     }

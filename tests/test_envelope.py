@@ -2,10 +2,11 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.optimize import linprog
 
 from vulab import envelope as env
 from vulab import oracle, ulagrangian, vu
-from vulab.errors import DimensionTooLarge
 
 from conftest import frame_context
 
@@ -13,6 +14,34 @@ from conftest import frame_context
 def double_well():
     return env.grid_from_batches(lambda X: (X[:, 0] ** 2 - 1.0) ** 2,
                                  [[-2.0, 2.0]], 401)
+
+
+def full_lp_envelope(gf, x):
+    """Reference: the defining epigraph LP over every finite grid node at
+    once, with no column generation."""
+    nodes = gf.nodes()
+    vals = gf.values.ravel()
+    finite = np.isfinite(vals)
+    if not finite.any():
+        return np.inf
+    nodes, vals = nodes[finite], vals[finite]
+    x = np.asarray(x, dtype=float)
+    A_eq = np.vstack([nodes.T, np.ones((1, len(vals)))])
+    b_eq = np.append(x, 1.0)
+    res = linprog(vals, A_eq=A_eq, b_eq=b_eq, bounds=[(0.0, None)] * len(vals),
+                  method="highs")
+    if res.status != 0:
+        return np.inf
+    return float(res.fun)
+
+
+def assert_matches_full_lp(gf, x):
+    got, ref = env.envelope_at(gf, x), full_lp_envelope(gf, x)
+    if np.isinf(ref):
+        assert got == ref
+    else:
+        assert abs(got - ref) <= env.ENVELOPE_TOL, (x, got, ref)
+    return got
 
 
 def brute_envelope_1d(gf, i):
@@ -28,82 +57,149 @@ def brute_envelope_1d(gf, i):
     return best
 
 
-def test_envelope_double_well():
+@pytest.fixture(scope="module")
+def double_well_envelope():
+    """The double well and envelope_at at each of its 401 nodes."""
     gf = double_well()
-    ce = env.convex_envelope(gf)
+    return gf, np.array([env.envelope_at(gf, [x]) for x in gf.axes()[0]])
+
+
+def test_envelope_double_well(double_well_envelope):
+    gf, ce = double_well_envelope
     xs = gf.axes()[0]
     inner = np.abs(xs) <= 1.0
-    assert np.max(np.abs(ce.values[inner])) == 0.0
-    assert np.max(np.abs(ce.values[~inner] - gf.values[~inner])) == 0.0
+    assert np.max(np.abs(ce[inner])) == 0.0
+    # the LP sums lam_i f_i, so outside the well it meets f up to rounding
+    assert np.max(np.abs(ce[~inner] - gf.values[~inner])) <= 1e-12
     for i in (57, 123, 200, 266, 399):  # brute-force two-point oracle
-        assert ce.values[i] == pytest.approx(brute_envelope_1d(gf, i),
-                                             abs=1e-12)
+        assert ce[i] == pytest.approx(brute_envelope_1d(gf, i), abs=1e-12)
 
 
 def test_envelope_convex_identity(abs_plus_quad):
     gf = env.grid_from_batches(lambda X: oracle.evaluate_many(abs_plus_quad, X),
                                [[-1, 1], [-1, 1]], (61, 61))
-    ce = env.convex_envelope(gf)
-    assert np.max(np.abs(ce.values - gf.values)) <= 1e-9
+    nodes, vals = gf.nodes(), gf.values.ravel()
+    for i in range(0, len(nodes), 31):
+        assert abs(env.envelope_at(gf, nodes[i]) - vals[i]) <= 1e-9
 
 
 def test_envelope_single_finite_node():
     vals = np.full(21, np.inf)
     vals[10] = 1.5
     gf = env.GridFunction([[-1, 1]], (21,), vals)
-    ce = env.convex_envelope(gf)
-    assert ce.values[10] == 1.5 and np.isinf(ce.values[0])
+    xs = gf.axes()[0]
+    assert env.envelope_at(gf, [xs[10]]) == 1.5
+    assert np.isinf(env.envelope_at(gf, [xs[0]]))
 
 
-def test_envelope_idempotent_and_below():
-    gf = double_well()
-    ce = env.convex_envelope(gf)
-    ce2 = env.convex_envelope(ce)
-    assert np.max(np.abs(ce2.values - ce.values)) <= 1e-12
-    assert np.all(ce.values <= gf.values + 1e-12)
+def test_envelope_idempotent_and_below(double_well_envelope):
+    gf, ce = double_well_envelope
+    assert np.all(ce <= gf.values + 1e-12)
     argmin = int(np.argmin(gf.values))
-    assert ce.values[argmin] == gf.values[argmin]
+    assert ce[argmin] == gf.values[argmin]
+    again = env.GridFunction(gf.box, gf.resolution, ce)
+    xs = gf.axes()[0]
+    for i in range(0, 401, 8):
+        assert abs(env.envelope_at(again, [xs[i]]) - ce[i]) <= 1e-12
 
 
-def test_envelope_discrete_convexity():
-    ce = env.convex_envelope(double_well())
-    v = ce.values
+def test_envelope_discrete_convexity(double_well_envelope):
+    v = double_well_envelope[1]
     mids = v[1:-1] - 0.5 * (v[:-2] + v[2:])
     assert np.max(mids) <= 1e-12
 
 
-def test_envelope_dimension_guard():
-    gf = env.GridFunction(np.tile([-1, 1], (4, 1)), (3, 3, 3, 3),
-                          np.zeros(81))
-    with pytest.raises(DimensionTooLarge):
-        env.convex_envelope(gf)
-
-
-def test_envelope_lp_matches_hull():
-    """Pointwise epigraph LP (the definition) against the hull route."""
-    gf = double_well()
-    ce = env.convex_envelope(gf)
-    xs = gf.axes()[0]
-    for i in (60, 200, 340):
-        assert env.envelope_at(gf, [xs[i]]) == pytest.approx(ce.values[i],
-                                                             abs=1e-9)
-    # 2-D spot check on a nonconvex saddle-like grid
+def test_envelope_saddle_matches_full_lp():
+    """Column generation against the full LP on a nonconvex 2-D grid, at
+    nodes and between them."""
     g2 = env.grid_from_batches(
         lambda X: (X[:, 0] ** 2 - 0.5) ** 2 + X[:, 1] ** 2,
         [[-1, 1], [-1, 1]], (41, 41))
-    c2 = env.convex_envelope(g2)
     nodes = g2.nodes()
     for idx in (420, 840, 861):
-        assert env.envelope_at(g2, nodes[idx]) == pytest.approx(
-            c2.values.ravel()[idx], abs=1e-8)
+        assert_matches_full_lp(g2, nodes[idx])
+    for x in ([0.01, -0.33], [0.5123, 0.25], [-0.7071, 0.0]):
+        assert_matches_full_lp(g2, x)
+
+
+@st.composite
+def dyadic_envelope_cases(draw):
+    """Small grids on [-1, 1]^d with dyadic nodes and values (bowls, random
+    nonconvex tables, +inf holes) and query points on cell faces, box
+    corners, box edges or outside the box."""
+    d = draw(st.integers(1, 3))
+    res = tuple(draw(st.sampled_from((2, 3, 5, 9) if d < 3 else (2, 3, 5)))
+                for _ in range(d))
+    n = int(np.prod(res))
+    gf = env.GridFunction(np.tile([-1.0, 1.0], (d, 1)), res, np.zeros(n))
+    if draw(st.booleans()):
+        vals = np.sum(gf.nodes() ** 2, axis=1)
+    else:
+        vals = np.array(draw(st.lists(st.integers(-32, 32), min_size=n,
+                                      max_size=n))) / 8.0
+    vals[draw(st.lists(st.integers(0, n - 1), max_size=3))] = np.inf
+    gf.values = vals.reshape(res)
+    where = draw(st.sampled_from(("face", "corner", "edge", "outside")))
+    free = st.integers(-16, 16).map(lambda k: k / 16.0)
+    x = np.array([draw(free) for _ in range(d)])
+    if where == "face":
+        x[0] = draw(st.sampled_from(list(gf.axes()[0])))
+    elif where in ("corner", "edge"):
+        signs = [draw(st.sampled_from((-1.0, 1.0))) for _ in range(d)]
+        first = 1 if where == "edge" else 0
+        x[first:] = signs[first:]
+    else:
+        x[draw(st.integers(0, d - 1))] = draw(st.sampled_from(
+            (-1.5, 1.25, 3.0)))
+    return gf, x, where == "outside"
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=dyadic_envelope_cases(), batch=st.sampled_from((1, 2, 64)))
+def test_envelope_at_matches_full_lp_on_dyadic_grids(case, batch):
+    gf, x, outside = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(env, "ENVELOPE_BATCH", batch)
+        got = assert_matches_full_lp(gf, x)
+    if outside:
+        assert np.isinf(got)
+
+
+@pytest.mark.parametrize("problem", ["quadratic(-I)", "four_quadrant_max"])
+def test_envelope_at_on_nonconvex_anchored_grids(problem):
+    from vulab import cli
+    runner = cli.Runner(cli.ExperimentConfig(problem=problem))
+    frame = runner.frame
+    gf = env.anchored_grid(runner.model, frame, resolution=41)
+    e = frame.eps
+    points = ([0.0, 0.0], [0.3 * e, -0.2 * e], [e, e], [-e, 0.45 * e],
+              [0.05 * e, 0.0], [0.61 * e, -0.87 * e])
+    for x in points:
+        assert np.isfinite(assert_matches_full_lp(gf, x))
+    assert np.isinf(assert_matches_full_lp(gf, [1.5 * e, 0.0]))
+
+
+def test_envelope_agreement_solves_small_lps(monkeypatch, crossing_trace):
+    """Column generation keeps every LP of the envelope check to a few
+    hundred columns, where the full LP over the 101^2 grid has 10,201."""
+    columns = []
+    real = env.linprog
+
+    def counting(c, **kwargs):
+        columns.append(len(c))
+        return real(c, **kwargs)
+
+    monkeypatch.setattr(env, "linprog", counting)
+    ctx = crossing_trace.ctx
+    env.envelope_agreement_check(ctx.model, ctx.frame,
+                                 crossing_trace.frame_coordinates()[::6],
+                                 resolution=101)
+    assert columns and max(columns) <= 300
 
 
 def test_legendre_examples():
     g = env.grid_from_batches(lambda X: 0.5 * X[:, 0] ** 2, [[-2, 2]], 401)
-    lg = env.legendre(g, [[-1.5, 1.5]], 31)
-    zs = lg.axes()[0]
-    assert lg.values[np.argmin(np.abs(zs - 1.0))] == pytest.approx(0.5,
-                                                                   abs=1e-9)
+    assert env.conjugate_at(g, [[1.0]])[0] == pytest.approx(0.5, abs=1e-9)
     gabs = env.grid_from_batches(lambda X: np.abs(X[:, 0]), [[-2, 2]], 401)
     out = env.conjugate_at(gabs, [[0.5], [1.5]])
     assert out[0] == pytest.approx(0.0, abs=1e-12)
@@ -113,15 +209,6 @@ def test_legendre_examples():
     vals[200] = 0.0
     gind = env.GridFunction([[-2, 2]], (401,), vals)
     assert np.allclose(env.conjugate_at(gind, [[0.7], [-1.3]]), 0.0)
-
-
-def test_biconjugate_reproduces_envelope():
-    gf = double_well()
-    ce = env.convex_envelope(gf)
-    bic = env.legendre(env.legendre(gf, [[-40, 40]], 801), [[-2, 2]], 401)
-    # grid-scale Fenchel-Moreau: dual spacing 0.1 over curvature ~ 1/2
-    grid_error = (80.0 / 800) ** 2 / 8.0 * 46.0
-    assert np.max(np.abs(bic.values[1:-1] - ce.values[1:-1])) <= 3 * grid_error
 
 
 def test_conjugacy_identity(abs_plus_quad, crossing):
@@ -138,6 +225,42 @@ def test_conjugacy_identity(abs_plus_quad, crossing):
     # z = 0 gives -min L = 0
     resid0 = env.conjugacy_identity_check(ctx, [0.0], resolution=201)
     assert resid0 <= 1e-6
+
+
+def per_z_conjugacy(ctx, z_u_grid, resolution):
+    """Reference: conjugacy_identity_check with one conjugate_at call, and
+    one node array, per dual point."""
+    frame = ctx.frame
+    ku = np.linspace(-frame.eps, frame.eps, resolution)
+    lvals = np.array([ulagrangian.l_value(ctx, np.array([u])) for u in ku])
+    h_grid = env.anchored_grid(ctx.model, frame, resolution=resolution)
+    worst = 0.0
+    for zu in np.atleast_1d(z_u_grid):
+        left = float(np.max(zu * ku - lvals))
+        z_coords = np.concatenate([[zu], frame.anchor_v])
+        right = float(env.conjugate_at(h_grid, z_coords[None, :])[0])
+        worst = max(worst, abs(left - right))
+    return worst
+
+
+def test_conjugacy_identity_batches_its_dual_points(monkeypatch, apq_ctx,
+                                                    crossing_ctx):
+    calls = []
+    real = env.conjugate_at
+
+    def counting(gf, zs):
+        calls.append(len(zs))
+        return real(gf, zs)
+
+    for ctx, zs in ((apq_ctx, np.linspace(-0.5, 0.5, 11)),
+                    (crossing_ctx, np.linspace(-0.05, 0.05, 5))):
+        expect = per_z_conjugacy(ctx, zs, 201)
+        calls.clear()
+        with monkeypatch.context() as mp:
+            mp.setattr(env, "conjugate_at", counting)
+            got = env.conjugacy_identity_check(ctx, zs, resolution=201)
+        assert calls == [len(zs)]
+        assert repr(got) == repr(expect)
 
 
 def test_envelope_agreement(abs_plus_quad, apq_trace):

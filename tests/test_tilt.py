@@ -220,18 +220,20 @@ def test_tilt_map_monotone_for_convex(abs_plus_quad, monkeypatch):
 
 
 def test_convexification_consistency(abs_plus_quad):
-    """argmin of co h - <., z> over the grid equals m_f(z) - base within the
-    grid resolution (the hidden convexification at work)."""
+    """The grid argmin w of h - <., z> is where co h touches h, so it also
+    minimizes co h - <., z>, and w equals m_f(z) - base within the grid
+    resolution (the hidden convexification at work)."""
     from vulab import vu
     poly = oracle.subdifferential_polytope(abs_plus_quad, np.zeros(2))
     frame = vu.decompose(poly, np.zeros(2), eps=1.0)
     gf = envelope.anchored_grid(abs_plus_quad, frame, resolution=81)
-    ce = envelope.convex_envelope(gf)
     z = np.array([0.1, 0.1])
     z_coords = np.concatenate([frame.u_basis.T @ z, frame.v_basis.T @ z])
-    nodes = ce.nodes()
-    scores = ce.values.ravel() - nodes @ z_coords
-    w = nodes[int(np.argmin(scores))]
+    nodes = gf.nodes()
+    scores = gf.values.ravel() - nodes @ z_coords
+    best = int(np.argmin(scores))
+    w = nodes[best]
+    assert abs(envelope.envelope_at(gf, w) - gf.values.ravel()[best]) <= 1e-12
     world = frame.u_basis @ w[:1] + frame.v_basis @ w[1:]
     m = tilt.tilt_map(abs_plus_quad, np.zeros(2), 1.0, z).minimizer
     assert np.linalg.norm(world - m) <= float(np.max(gf.spacing())) + 1e-12
