@@ -23,6 +23,7 @@ class GridFunction:
         self.box = np.atleast_2d(np.asarray(self.box, dtype=float))
         self.resolution = tuple(int(r) for r in np.atleast_1d(self.resolution))
         self.values = np.asarray(self.values, dtype=float).reshape(self.resolution)
+        self._nodes = None
 
     @property
     def dim(self):
@@ -33,8 +34,13 @@ class GridFunction:
                 for i in range(self.dim)]
 
     def nodes(self):
-        grids = np.meshgrid(*self.axes(), indexing="ij")
-        return np.column_stack([g.ravel() for g in grids])
+        """Every node as a row, in the row-major order of values.ravel();
+        built on the first call and shared, read-only, after it."""
+        if self._nodes is None:
+            grids = np.meshgrid(*self.axes(), indexing="ij")
+            self._nodes = np.column_stack([g.ravel() for g in grids])
+            self._nodes.setflags(write=False)
+        return self._nodes
 
     def spacing(self):
         return np.array([(self.box[i, 1] - self.box[i, 0]) / (self.resolution[i] - 1)
@@ -89,15 +95,15 @@ def envelope_at(gf, x):
     its equality duals (a, b) and prices every node as f_i - a.x_i - b.  It
     starts from the corners of x's grid cell, or from every finite node when
     a corner is +inf; +inf when the LP is infeasible (x outside the box or
-    outside the hull of the finite nodes).
+    outside the hull of the finite nodes).  The node array is the grid's
+    own, built once, so a loop of queries on one grid does not rebuild it.
     """
     x = np.asarray(x, dtype=float)
     nodes = gf.nodes()
     vals = gf.values.ravel()
-    finite = np.isfinite(vals)
     cols = _cell_corners(gf, x)
-    if not finite[cols].all():
-        cols = np.flatnonzero(finite)
+    if not np.isfinite(vals[cols]).all():
+        cols = np.flatnonzero(np.isfinite(vals))
         if not len(cols):
             return np.inf
     b_eq = np.append(x, 1.0)

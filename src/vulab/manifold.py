@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .oracle import evaluate, subdifferential_polytope
+from .oracle import evaluate, evaluate_many, subdifferential_polytope
 from .solvers import (ball_lattice, cube_lattice, max_difference_quotient,
                       pair_differences)
 from . import subjets, ulagrangian
@@ -159,18 +159,17 @@ def taylor_lower_check(tr, inflate=0.0):
             w_z += ctx.uprime_basis @ tr.z_u_values[idx]
         if ctx.dim_vprime:
             w_z += ctx.vprime_basis @ ctx.anchor_vprime
-        for du in u_offsets:
-            for dvv in v_offsets:
-                up = u + du
-                vp = v + dvv
-                point = ctx.point(up, vp)
-                delta_w = point - ctx.point(u, v)
-                quad = 0.5 * float(du @ Q @ du) if k else 0.0
-                eta = subjets.ETA_COEFF * np.linalg.norm(du) ** 0.5
-                margin = (evaluate(ctx.model, point) - f_node
-                          - float(w_z @ delta_w) - quad
-                          + eta * float(du @ du))
-                worst = min(worst, margin)
+        offsets = [(du, dvv) for du in u_offsets for dvv in v_offsets]
+        points = np.array([ctx.point(u + du, v + dvv) for du, dvv in offsets])
+        values = evaluate_many(ctx.model, points)
+        node_point = ctx.point(u, v)
+        for (du, _), point, value in zip(offsets, points, values):
+            delta_w = point - node_point
+            quad = 0.5 * float(du @ Q @ du) if k else 0.0
+            eta = subjets.ETA_COEFF * np.linalg.norm(du) ** 0.5
+            margin = (float(value) - f_node - float(w_z @ delta_w) - quad
+                      + eta * float(du @ du))
+            worst = min(worst, margin)
     return float(worst)
 
 

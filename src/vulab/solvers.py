@@ -7,7 +7,7 @@ fixed lattices so repeated runs produce identical bytes.
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 import warnings
 
 import numpy as np
@@ -302,47 +302,120 @@ def _boundary_root(Q, g, d, s_min, radius):
     return Q @ _eigen_weights(g, d, hi)
 
 
+def _trust_region_candidates(A, b, radius):
+    """The More-Sorensen candidates of 1/2 v^T A v + b^T v over
+    ||v|| <= radius, from A = Q diag(lam) Q^T: -A^-1 b when lam_min > 0 and
+    it lies in the ball; the boundary root mu > max(0, -lam_min); and in
+    the hard case, where lam_min <= 0, b has no component on its
+    eigenvectors and the pseudo-inverse step x lies in the ball, x +- tau q
+    on the sphere for each such eigenvector q."""
+    cands = []
+    lam, Q = np.linalg.eigh(A)
+    g = Q.T @ b
+    if lam[0] > 0.0:
+        x = Q @ _eigen_weights(g, lam, 0.0)
+        if np.linalg.norm(x) <= radius:
+            cands.append(x)
+    d = lam - lam[0]
+    x = _boundary_root(Q, g, d, max(lam[0], 0.0), radius)
+    if x is not None:
+        cands.append(x)
+    # the eigenvalues within rounding of lam_min, and whether b is within
+    # rounding of orthogonal to their eigenvectors
+    tie = 1e-12 * (1.0 + float(np.max(np.abs(lam))))
+    low = d <= tie
+    flat = np.abs(g[low]) <= 1e-12 * (1.0 + np.linalg.norm(b))
+    if lam[0] <= tie and flat.all():
+        x = Q @ _eigen_weights(np.where(low, 0.0, g), d, 0.0)
+        tau2 = radius * radius - float(np.vecdot(x, x))
+        if tau2 >= 0.0:
+            tau = np.sqrt(tau2)
+            for q in Q[:, low].T:
+                cands += [x + tau * q, x - tau * q]
+    return cands
+
+
+def _affine_part(piece):
+    """(g, c) of the linear and constant terms of a quadratic or affine
+    piece."""
+    if piece.kind == "quadratic":
+        return piece.b, piece.c
+    return piece.a, piece.b
+
+
+def _flat_candidates(pieces, A, b, radius):
+    """The candidates of 1/2 v^T A v + b^T v over ||v|| <= radius on the
+    flat p + N w where the affine parts of `pieces` tie, p its min-norm
+    point and N an orthonormal basis of its directions: the trust-region
+    candidates of w over the ball of radius rho = sqrt(radius^2 - ||p||^2),
+    or p alone when rho = 0 or the flat is a point.  No candidate when the
+    linear parts are not affinely independent or p lies outside the ball by
+    more than rounding."""
+    (g0, c0), *rest = [_affine_part(p) for p in pieces]
+    U, s, Vt = np.linalg.svd(np.array([g - g0 for g, _ in rest]))
+    if s[-1] <= 1e-12 * s[0]:
+        return []
+    k = len(s)
+    p = Vt[:k].T @ ((U.T @ np.array([c0 - c for _, c in rest])) / s)
+    rho2 = radius * radius - float(np.vecdot(p, p))
+    if rho2 < -1e-12 * radius * radius:
+        return []
+    N = Vt[k:].T
+    if rho2 <= 0.0 or N.shape[1] == 0:
+        return [p]
+    return [p + N @ w for w in _trust_region_candidates(
+        N.T @ A @ N, N.T @ (A @ p + b), np.sqrt(rho2))]
+
+
+def affine_ties(max_pieces, sum_pieces, dim):
+    """Whether quadratic_ball_minimize is exact on the branch: at most one
+    max-piece, or max-pieces that differ by affine terms (one shared
+    Hessian) with a positive semidefinite total Hessian, so the branch is
+    convex."""
+    if len(max_pieces) <= 1:
+        return True
+    H = [_quadratic_coefficients([p], dim)[0] for p in max_pieces]
+    if not all(np.array_equal(H[0], h) for h in H[1:]):
+        return False
+    lam = np.linalg.eigvalsh(
+        _quadratic_coefficients(max_pieces[:1] + sum_pieces, dim)[0])
+    return bool(lam[0] >= -1e-12 * (1.0 + float(np.max(np.abs(lam)))))
+
+
 def quadratic_ball_minimize(branches, objective, dim, radius):
     """Exact minimization over ||v|| <= radius of an objective covered by
-    branches (max_pieces, sum_pieces) of quadratic and affine pieces with at
-    most one max-piece each.
+    branches (max_pieces, sum_pieces) of quadratic and affine pieces whose
+    max-pieces differ by affine terms (`affine_ties`).
 
-    Each branch is then one quadratic 1/2 v^T A v + b^T v + c, and its
-    global minimizers over the ball are the v = -(A + mu I)^-1 b with
-    mu >= 0, A + mu I psd and mu (radius - ||v||) = 0 (More & Sorensen
-    1983).  From A = Q diag(lam) Q^T the candidates are: v = 0, for the
-    smallest-norm tie rule; -A^-1 b when lam_min > 0 and it lies in the
-    ball; the boundary root mu > max(0, -lam_min); and in the hard case,
-    where lam_min <= 0, b has no component on its eigenvectors and the
-    pseudo-inverse step x lies in the ball, x +- tau q on the sphere for
-    each such eigenvector q.  Every candidate is valued by the batched
-    `objective`, so a set-valued argmin shows as several points."""
+    For each subset S of at most dim + 1 max-pieces the set where they tie
+    is a flat p + N w, on which the branch is one quadratic of w over the
+    ball of radius rho = sqrt(radius^2 - ||p||^2); one max-piece is S = {i}
+    with p = 0 and N = I.  The global minimizers of a quadratic over a ball
+    are the v = -(A + mu I)^-1 b with mu >= 0, A + mu I psd and
+    mu (radius - ||v||) = 0 (More & Sorensen 1983), and
+    `_trust_region_candidates` lists them; when rho = 0 or N is empty the
+    only candidate is p.  `_flat_candidates` skips S when its linear parts
+    are not affinely independent or p lies outside the ball.  A global
+    minimizer of a convex branch with active set S minimizes the quadratic
+    of S's flat over its ball, so some flat lists it.  v = 0 is a candidate
+    too, for the smallest-norm tie rule.  Candidates a rounding error
+    outside the ball are projected onto it, and the batched `objective`
+    values them all, so a set-valued argmin shows as several points."""
     cands = [np.zeros(dim)]
     for max_pieces, sum_pieces in branches:
-        A, b = _quadratic_coefficients(max_pieces + sum_pieces, dim)
-        lam, Q = np.linalg.eigh(A)
-        g = Q.T @ b
-        if lam[0] > 0.0:
-            x = Q @ _eigen_weights(g, lam, 0.0)
-            if np.linalg.norm(x) <= radius:
-                cands.append(x)
-        d = lam - lam[0]
-        x = _boundary_root(Q, g, d, max(lam[0], 0.0), radius)
-        if x is not None:
-            cands.append(x)
-        # the eigenvalues within rounding of lam_min, and whether b is
-        # within rounding of orthogonal to their eigenvectors
-        tie = 1e-12 * (1.0 + float(np.max(np.abs(lam))))
-        low = d <= tie
-        flat = np.abs(g[low]) <= 1e-12 * (1.0 + np.linalg.norm(b))
-        if lam[0] <= tie and flat.all():
-            x = Q @ _eigen_weights(np.where(low, 0.0, g), d, 0.0)
-            tau2 = radius * radius - float(np.vecdot(x, x))
-            if tau2 >= 0.0:
-                tau = np.sqrt(tau2)
-                for q in Q[:, low].T:
-                    cands += [x + tau * q, x - tau * q]
+        subsets = [S for n in range(1, min(len(max_pieces), dim + 1) + 1)
+                   for S in combinations(range(len(max_pieces)), n)] or [()]
+        for S in subsets:
+            pieces = [max_pieces[i] for i in S]
+            A, b = _quadratic_coefficients(pieces[:1] + sum_pieces, dim)
+            if len(S) <= 1:
+                cands += _trust_region_candidates(A, b, radius)
+            else:
+                cands += _flat_candidates(pieces, A, b, radius)
     V = np.array(cands)
+    r = np.sqrt(np.vecdot(V, V))
+    out = r > radius
+    V[out] = V[out] * (radius / r[out])[:, None]
     return BallMinimizeResult(points=V, values=objective(V))
 
 

@@ -14,9 +14,10 @@ import numpy as np
 from .errors import BoundaryActive, InconsistentGradient, VULabError
 from .oracle import (AffinePiece, evaluate, evaluate_many,
                      subdifferential_polytope)
-from .solvers import (cluster_minimizers, hull_distance, line_minimize,
-                      max_difference_quotient, minimize_branches,
-                      quadratic_ball_minimize, sphere_directions)
+from .solvers import (affine_ties, cluster_minimizers, hull_distance,
+                      line_minimize, max_difference_quotient,
+                      minimize_branches, quadratic_ball_minimize,
+                      sphere_directions)
 from .vu import principal_angle
 
 
@@ -87,11 +88,13 @@ def argmin_on_ball(model, base, M, piece, radius):
     The model's branch cover is restricted to the slice base + span(M) and
     `piece` is added to every branch.  A structured model whose pieces are
     all quadratic or affine is solved exactly: by solvers.line_minimize
-    when M has one column, and by solvers.quadratic_ball_minimize when
-    every branch has at most one max-piece, so each branch is one
-    quadratic.  Custom branch covers only describe their model's value
-    oracle, so they and all other problems take the SLSQP multistart of
-    solvers.minimize_branches.
+    when M has one column, and by solvers.quadratic_ball_minimize when in
+    every branch with two or more max-pieces these differ by affine terms
+    and the branch Hessian is psd (solvers.affine_ties), so the branch is
+    convex and its minimizers lie on the flats where max-pieces tie.
+    Custom branch covers only describe their model's value oracle, so they
+    and all other problems, nonconvex multi-piece branches included, take
+    the SLSQP multistart of solvers.minimize_branches.
 
     Returns (points, best, approximate): the near-optimal points, pairwise
     1e-6 * radius apart, smallest norm first; the best value; and whether a
@@ -108,7 +111,8 @@ def argmin_on_ball(model, base, M, piece, radius):
         for p in mp + sp)
     if structured and M.shape[1] == 1:
         res = line_minimize(branches, objective, radius)
-    elif structured and all(len(mp) <= 1 for mp, _ in branches):
+    elif structured and all(affine_ties(mp, sp, M.shape[1])
+                            for mp, sp in branches):
         res = quadratic_ball_minimize(branches, objective, M.shape[1], radius)
     else:
         res = minimize_branches(branches, objective, np.zeros(M.shape[1]),

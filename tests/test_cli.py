@@ -205,16 +205,24 @@ def test_tilt_test_four_quadrant_max_is_decisively_unstable(tmp_path):
     assert summary["witness"] == [0.0, 0.0]
 
 
-@pytest.mark.parametrize("problem", ["four_quadrant_max", "abs_diff"])
+@pytest.mark.parametrize("tilt_problem, prox_problem", [
+    pytest.param("four_quadrant_max", "four_quadrant_max",
+                 id="four_quadrant_max"),
+    ("crossing_max", "abs_diff")])
 def test_solver_budget_makes_verdicts_inconclusive(tmp_path, monkeypatch,
-                                                   problem):
+                                                   tilt_problem,
+                                                   prox_problem):
     """With an SLSQP budget of one iteration every multistart solve is
     capped: the tilt verdict and the Moreau check read inconclusive rather
-    than a verdict from unconverged points, and each run exits 2."""
+    than a verdict from unconverged points, and each run exits 2.  The tilt
+    probes of abs_diff are exact trust-region solves, so crossing_max, whose
+    max-pieces have different Hessians, takes its tilt half; the prox of
+    abs_diff still runs the multistart."""
     monkeypatch.setattr(solvers, "MAX_ITERS", 1)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SolverBudgetExceeded)
-        manifest, code = run_campaign(problem, "tilt-test", tmp_path / "tilt")
+        manifest, code = run_campaign(tilt_problem, "tilt-test",
+                                      tmp_path / "tilt")
     assert code == 2 and manifest["overall"] == "inconclusive"
     checks = {c["name"]: c for c in manifest["campaigns"]["tilt-test"]["checks"]}
     assert checks["tilt_verdict_decisive"]["status"] == "inconclusive"
@@ -222,7 +230,8 @@ def test_solver_budget_makes_verdicts_inconclusive(tmp_path, monkeypatch,
                if name != "tilt_verdict_decisive")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SolverBudgetExceeded)
-        manifest, code = run_campaign(problem, "appendix", tmp_path / "app")
+        manifest, code = run_campaign(prox_problem, "appendix",
+                                      tmp_path / "app")
     assert code == 2 and manifest["overall"] == "inconclusive"
     checks = {c["name"]: c for c in manifest["campaigns"]["appendix"]["checks"]}
     moreau = checks["moreau_gradient_consistency"]

@@ -197,6 +197,27 @@ def test_envelope_agreement_solves_small_lps(monkeypatch, crossing_trace):
     assert columns and max(columns) <= 300
 
 
+def test_envelope_queries_share_the_grid_nodes(monkeypatch, crossing_trace):
+    """The node array is built on the first nodes() call and shared,
+    read-only, after it: the envelope check builds the anchored grid's
+    nodes once, however many points it queries."""
+    builds = []
+    real = env.np.meshgrid
+
+    def counting(*args, **kwargs):
+        builds.append(len(args))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(env.np, "meshgrid", counting)
+    ctx = crossing_trace.ctx
+    points = crossing_trace.frame_coordinates()[::6]
+    assert len(points) > 1
+    env.envelope_agreement_check(ctx.model, ctx.frame, points, resolution=41)
+    assert builds == [2]
+    gf = env.anchored_grid(ctx.model, ctx.frame, resolution=5)
+    assert gf.nodes() is gf.nodes() and not gf.nodes().flags.writeable
+
+
 def test_legendre_examples():
     g = env.grid_from_batches(lambda X: 0.5 * X[:, 0] ** 2, [[-2, 2]], 401)
     assert env.conjugate_at(g, [[1.0]])[0] == pytest.approx(0.5, abs=1e-9)

@@ -89,6 +89,48 @@ def test_taylor_lower(apq_trace, crossing_trace):
     assert mf.taylor_lower_check(crossing_trace, inflate=1.0) < -1e-9
 
 
+def scalar_taylor_lower(tr, inflate=0.0):
+    """Reference: taylor_lower_check's per-offset loop, one ctx.point pair
+    and one scalar evaluate per sample point."""
+    ctx = tr.ctx
+    k = tr.dim_u
+    worst = np.inf
+    u_offsets = mf.cube_lattice(k, mf.SAMPLE_RADIUS, mf.SAMPLES_PER_AXIS)
+    v_offsets = mf.cube_lattice(ctx.dim_vprime, mf.SAMPLE_RADIUS,
+                                mf.SAMPLES_PER_AXIS)
+    for idx, (u, v) in enumerate(zip(tr.u_nodes, tr.v_values)):
+        if k:
+            Q = mf._certified_curvature(tr, idx, inflate == 0.0)
+            Q = Q + inflate * np.eye(k)
+        else:
+            Q = np.zeros((0, 0))
+        w_z = np.zeros(ctx.frame.dim)
+        if k:
+            w_z += ctx.uprime_basis @ tr.z_u_values[idx]
+        if ctx.dim_vprime:
+            w_z += ctx.vprime_basis @ ctx.anchor_vprime
+        for du in u_offsets:
+            for dvv in v_offsets:
+                point = ctx.point(u + du, v + dvv)
+                delta_w = point - ctx.point(u, v)
+                quad = 0.5 * float(du @ Q @ du) if k else 0.0
+                eta = mf.subjets.ETA_COEFF * np.linalg.norm(du) ** 0.5
+                margin = (oracle.evaluate(ctx.model, point) - tr.f_values[idx]
+                          - float(w_z @ delta_w) - quad
+                          + eta * float(du @ du))
+                worst = min(worst, margin)
+    return float(worst)
+
+
+@pytest.mark.parametrize("inflate", [0.0, 1.0])
+def test_taylor_lower_matches_scalar_loop(apq_trace, crossing_trace, inflate):
+    """One evaluate_many per trace node reproduces the per-point loop's
+    worst margin bit for bit."""
+    for tr in (apq_trace, crossing_trace):
+        assert (repr(mf.taylor_lower_check(tr, inflate))
+                == repr(scalar_taylor_lower(tr, inflate)))
+
+
 def test_dv_continuity(apq_trace, crossing_trace, crossing_trace_fine):
     assert mf.dv_continuity_check(apq_trace) <= 1e-10
     j = mf.dv_continuity_check(crossing_trace)

@@ -1,9 +1,11 @@
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.optimize import nnls
 
-from vulab import oracle, solvers, tilt
+from vulab import oracle, solvers, tilt, ulagrangian
 from vulab.errors import SolverBudgetExceeded
 
 
@@ -179,6 +181,139 @@ def test_quadratic_ball_minimize_meets_more_sorensen(problem):
                                           objective, np.zeros(dim), radius)
     multi_best = float(multi.values.min())
     assert best <= multi_best + 1e-12 * (1.0 + abs(best))
+
+
+@st.composite
+def affine_max_branches(draw):
+    """One convex branch in R^2 or R^3: 2-4 affine max-pieces a.v + c with
+    a on the half grid of [-2, 2] and c on the quarter grid of [-1, 1] (so
+    parallel, repeated and dependent pieces come often), a psd or zero
+    quadratic sum 1/2 v^T B B^T v + b.v with B on the half grid of [-1, 1]
+    and rank 0 to dim, b on the quarter grid of [-1, 1], and a radius.
+    B B^T is dyadic, so exactly symmetric and psd.  b is the linear term of
+    the quadratic piece or a separate affine sum piece."""
+    dim = draw(st.integers(2, 3))
+    half = st.sampled_from(np.arange(-4, 5) / 2.0)
+    quarter = st.sampled_from(np.arange(-4, 5) / 4.0)
+    max_pieces = [oracle.AffinePiece(draw(st.lists(half, min_size=dim,
+                                                    max_size=dim)),
+                                     draw(quarter))
+                  for _ in range(draw(st.integers(2, 4)))]
+    rank = draw(st.integers(0, dim))
+    B = np.array(draw(st.lists(st.sampled_from(np.arange(-2, 3) / 2.0),
+                               min_size=dim * rank, max_size=dim * rank)))
+    A = B.reshape(dim, rank) @ B.reshape(dim, rank).T
+    b = np.array(draw(st.lists(quarter, min_size=dim, max_size=dim)))
+    radius = draw(st.sampled_from([0.25, 0.5, 1.0, 2.0]))
+    if draw(st.booleans()):
+        sum_pieces = [oracle.QuadraticPiece(A, b)]
+    else:
+        sum_pieces = [oracle.QuadraticPiece(A), oracle.AffinePiece(b)]
+    return max_pieces, sum_pieces, A, b, radius
+
+
+def fermat_residual(max_pieces, A, b, v, radius):
+    """An upper bound on the distance of 0 to the active gradients plus
+    A v + b + mu v, the Fermat rule of the branch over the ball at v: the
+    norm of one convex combination of them.  mu = 0 inside the ball, mu >= 0
+    on the sphere.  The weights and mu come from nonnegative least squares
+    with a sum-to-one row; the weights are then rescaled onto the simplex.
+    (hull_distance's SLSQP stops about 2e-9 from 0 on some points whose
+    optimality system solves to 1e-16, so it cannot certify 1e-9.)"""
+    vals = np.array([p.value(v) for p in max_pieces])
+    top = float(vals.max())
+    active = vals >= top - 1e-9 * (1.0 + abs(top))
+    G = np.array([p.a for p, on in zip(max_pieces, active) if on]) + (A @ v + b)
+    on_sphere = np.linalg.norm(v) >= radius * (1.0 - 1e-9)
+    M = np.vstack([G.T, np.ones(len(G))])
+    if on_sphere:
+        M = np.column_stack([M, np.append(v, 0.0)])
+    weights, _ = nnls(M, np.append(np.zeros(len(v)), 1.0))
+    lam = weights[:len(G)] / np.sum(weights[:len(G)])
+    mu = weights[-1] if on_sphere else 0.0
+    return float(np.linalg.norm((G + mu * v).T @ lam))
+
+
+@settings(max_examples=40, deadline=None)
+@given(affine_max_branches())
+def test_quadratic_ball_minimize_on_tie_flats_meets_fermat(problem):
+    """A convex branch whose max-pieces are affine is solved exactly on the
+    flats where they tie: every point of the clustered argmin lies in the
+    ball and meets the Fermat rule 0 in grad + N_ball to 1e-9, with mu >= 0
+    and mu (radius - ||v||) = 0, and the best value is never above that of
+    the SLSQP multistart."""
+    max_pieces, sum_pieces, A, b, radius = problem
+    dim = len(b)
+    assert solvers.affine_ties(max_pieces, sum_pieces, dim)
+    objective = branch_objective(max_pieces, sum_pieces)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = solvers.quadratic_ball_minimize([(max_pieces, sum_pieces)],
+                                              objective, dim, radius)
+    assert_bits_equal(res.values, objective(res.points))
+    eps = np.finfo(float).eps
+    assert np.all(np.linalg.norm(res.points, axis=1) <= radius * (1 + 4 * eps))
+    cluster_tol = 1e-9 * (1.0 + abs(float(res.values.min())))
+    reps, best = solvers.cluster_minimizers(res.points, res.values,
+                                            cluster_tol, 1e-6 * radius)
+    for v in reps:
+        assert fermat_residual(max_pieces, A, b, v, radius) <= 1e-9
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SolverBudgetExceeded)
+        multi = solvers.minimize_branches([(max_pieces, sum_pieces)],
+                                          objective, np.zeros(dim), radius)
+    assert best <= float(multi.values.min()) + 1e-12 * (1.0 + abs(best))
+
+
+@pytest.mark.parametrize("pieces, sum_pieces, expect", [
+    # crossing_max's pieces: different Hessians
+    ([oracle.QuadraticPiece(2.0 * np.eye(2), [0.0, -2.0], 1.0),
+      oracle.AffinePiece([0.0, 1.0])], [], False),
+    # affine max-pieces over a concave sum
+    ([oracle.AffinePiece([1.0, 0.0]), oracle.AffinePiece([-1.0, 0.0])],
+     [oracle.QuadraticPiece(-np.eye(2))], False),
+    # one shared Hessian, convex
+    ([oracle.QuadraticPiece(2.0 * np.eye(2)),
+      oracle.QuadraticPiece(2.0 * np.eye(2), [1.0, -1.0])], [], True),
+    # one max-piece: today's trust-region solve, convex or not
+    ([oracle.QuadraticPiece(-np.eye(2))], [], True)])
+def test_affine_ties_predicate(pieces, sum_pieces, expect):
+    assert solvers.affine_ties(pieces, sum_pieces, 2) is expect
+
+
+def test_flat_argmin_in_three_dimensions_is_set_valued(monkeypatch):
+    """max(v1, -v1) in R^3 at z = 0: the argmin over the unit ball is the
+    disk v1 = 0.  The exact solve lists points of it from the flat where
+    both pieces tie, so the tilt map is set-valued, without a multistart."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("multistart called")
+    monkeypatch.setattr(ulagrangian, "minimize_branches", forbidden)
+    model = oracle.FunctionModel(dim=3, kind="max_of_smooth",
+                                 pieces=[oracle.AffinePiece([1.0, 0.0, 0.0]),
+                                         oracle.AffinePiece([-1.0, 0.0, 0.0])])
+    res = tilt.tilt_map(model, np.zeros(3), 1.0, np.zeros(3))
+    assert not res.single_valued and not res.approximate
+    assert res.value == 0.0
+    assert np.all(res.minimizers[:, 0] == 0.0)
+    assert np.max(np.linalg.norm(res.minimizers, axis=1)) == 1.0
+
+
+def test_tie_flat_tangent_to_the_sphere():
+    """|v1 - 1| = max(v1 - 1, 1 - v1) on the unit disk: the pieces tie on the
+    line v1 = 1, which touches the ball only at p = (1, 0) (rho = 0).  That
+    flat contributes p alone and the solve raises no warning, a division by
+    zero included; the argmin is exactly p."""
+    pieces = [oracle.AffinePiece([1.0, 0.0], -1.0),
+              oracle.AffinePiece([-1.0, 0.0], 1.0)]
+    objective = branch_objective(pieces, [])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = solvers.quadratic_ball_minimize([(pieces, [])], objective, 2,
+                                              1.0)
+    assert repr(res.points[-1].tolist()) == repr([1.0, 0.0])
+    reps, best = solvers.cluster_minimizers(res.points, res.values, 1e-9,
+                                            1e-6)
+    assert repr(reps.tolist()) == repr([[1.0, 0.0]]) and best == 0.0
 
 
 def test_minimize_branches_stays_in_its_ball():

@@ -58,10 +58,14 @@ def reference_tilt_map(model, base_point, eps, z):
 def test_tilt_map_matches_absolute_reference(abs_diff, abs_plus_quad,
                                              four_quadrant, crossing):
     """The ball solve in coordinates relative to the base point reproduces
-    the absolute-coordinate tilt map bit for bit where the base point is the
-    origin, and within 1e-8 on crossing_max, whose base point is not.  The
-    approximate flags are compared too.  quadratic(I) is one
-    quadratic, solved exactly: x(z) = z with value -1/2 ||z||^2."""
+    the absolute-coordinate multistart tilt map bit for bit on
+    four_quadrant_max, whose base point is the origin, and within 1e-8 on
+    crossing_max, whose base point is not.  The approximate flags are
+    compared too.  quadratic(I) is one quadratic, solved exactly: x(z) = z
+    with value -1/2 ||z||^2.  abs_diff and abs_plus_quad are convex with
+    max-pieces that differ by affine terms, solved exactly on the flats
+    where they tie: the best value is never above the multistart's, and
+    both agree on whether the argmin is single-valued."""
     tilts = [np.zeros(2), np.array([0.03, -0.02]), np.array([-0.05, 0.05])]
     for z in tilts:
         res = tilt.tilt_map(oracle.builtin("quadratic(I)"), np.zeros(2), 1.0,
@@ -69,14 +73,21 @@ def test_tilt_map_matches_absolute_reference(abs_diff, abs_plus_quad,
         assert repr(res.minimizers.tolist()) == repr([z.tolist()])
         assert repr(res.value) == repr(0.0 - 0.5 * float(z @ z))
         assert not res.approximate
-    for model in (abs_diff, abs_plus_quad, four_quadrant):
+    for z in tilts:
+        res = tilt.tilt_map(four_quadrant, np.zeros(2), 1.0, z)
+        reps, best, approximate = reference_tilt_map(four_quadrant,
+                                                     np.zeros(2), 1.0, z)
+        assert repr(res.minimizers.tolist()) == repr(reps.tolist())
+        assert repr(res.value) == repr(best)
+        assert res.approximate == approximate
+    for model in (abs_diff, abs_plus_quad):
         for z in tilts:
             res = tilt.tilt_map(model, np.zeros(2), 1.0, z)
             reps, best, approximate = reference_tilt_map(model, np.zeros(2),
                                                          1.0, z)
-            assert repr(res.minimizers.tolist()) == repr(reps.tolist())
-            assert repr(res.value) == repr(best)
-            assert res.approximate == approximate
+            assert res.value <= best + 1e-12 * (1.0 + abs(res.value))
+            assert res.single_valued == (len(reps) == 1)
+            assert not res.approximate and not approximate
     base = crossing.meta["default_base_point"]
     for z in tilts:
         res = tilt.tilt_map(crossing, base, 0.3, 0.1 * z)
@@ -291,13 +302,15 @@ def test_hessian_criterion_matches_order2(abs_plus_quad):
     assert abs(lam_min - 2.0 * beta) <= 0.2 * lam_min
 
 
-def test_solver_budget_flagged(abs_plus_quad, monkeypatch):
+def test_solver_budget_flagged(crossing, monkeypatch):
+    """crossing_max's max-pieces have different Hessians, so its tilt probe
+    runs the SLSQP multistart, and a budget of one iteration flags it."""
     monkeypatch.setattr(solvers, "MAX_ITERS", 1)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SolverBudgetExceeded)
         with pytest.warns(SolverBudgetExceeded):
-            res = tilt.tilt_map(abs_plus_quad, np.zeros(2), 1.0,
-                                np.array([0.3, -0.2]))
+            res = tilt.tilt_map(crossing, crossing.meta["default_base_point"],
+                                0.3, np.array([0.03, -0.02]))
     assert res.approximate
     assert res.minimizers.shape[0] >= 1
 
@@ -372,9 +385,10 @@ def test_grid_tests_match_scalar_loops(name):
             == repr(scalar_minorant_worst(model, base)))
 
 
-def test_quadratic_tilt_test_runs_no_multistart(tmp_path, monkeypatch):
-    """Every tilt probe of quadratic(I3) is one exact trust-region solve: no
-    minimize_branches or SLSQP call and no warning."""
+def tilt_test_without_multistart(problem, tmp_path, monkeypatch):
+    """Run the tilt-test campaign on `problem` with minimize_branches and
+    SLSQP replaced by failing stubs and warnings as errors; returns the
+    manifest checks by name and the tilt-test summary."""
     calls = []
 
     def forbidden(name):
@@ -385,15 +399,38 @@ def test_quadratic_tilt_test_runs_no_multistart(tmp_path, monkeypatch):
     monkeypatch.setattr(ulagrangian, "minimize_branches",
                         forbidden("minimize_branches"))
     monkeypatch.setattr(solvers, "minimize", forbidden("minimize"))
-    config = cli.ExperimentConfig(problem="quadratic(I3)",
-                                  campaign=["tilt-test"],
+    config = cli.ExperimentConfig(problem=problem, campaign=["tilt-test"],
                                   output_dir=str(tmp_path))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         manifest, code = cli.Runner(config).run()
     assert calls == [] and code == 0
-    assert all(c["status"] == "pass"
-               for c in manifest["campaigns"]["tilt-test"]["checks"])
-    summary = json.loads((tmp_path / "tilt-test.json").read_text())
+    checks = {c["name"]: c for c in manifest["campaigns"]["tilt-test"]["checks"]}
+    assert all(c["status"] == "pass" for c in checks.values())
+    return checks, json.loads((tmp_path / "tilt-test.json").read_text())
+
+
+def test_quadratic_tilt_test_runs_no_multistart(tmp_path, monkeypatch):
+    """Every tilt probe of quadratic(I3) is one exact trust-region solve: no
+    minimize_branches or SLSQP call and no warning."""
+    _, summary = tilt_test_without_multistart("quadratic(I3)", tmp_path,
+                                              monkeypatch)
     assert summary["status"] == "stable"
     assert summary["lipschitz_estimate"] == 1.0
+
+
+def test_polyhedral_tilt_test_runs_no_multistart(tmp_path, monkeypatch):
+    """abs_diff's and abs_plus_quad's max-pieces differ by affine terms over
+    a psd sum, so every tilt probe is exact on the flats where they tie: no
+    minimize_branches or SLSQP call and no warning.  abs_diff is unstable
+    with witness z = 0, and its tilt map is monotone with margin exactly 0;
+    abs_plus_quad is stable with Lipschitz estimate 1/2 to rounding."""
+    checks, summary = tilt_test_without_multistart(
+        "abs_diff", tmp_path / "abs_diff", monkeypatch)
+    assert summary["status"] == "unstable"
+    assert summary["witness"] == [0.0, 0.0]
+    assert checks["tilt_map_monotone"]["value"] == 0.0
+    _, summary = tilt_test_without_multistart(
+        "abs_plus_quad", tmp_path / "abs_plus_quad", monkeypatch)
+    assert summary["status"] == "stable"
+    assert abs(summary["lipschitz_estimate"] - 0.5) <= 1e-14
