@@ -343,75 +343,209 @@ def _affine_part(piece):
     return piece.a, piece.b
 
 
+def _flat(rows, rhs, dim):
+    """(p, N) of the flat {v : rows v = rhs}, p its min-norm point and N an
+    orthonormal basis of its directions (p = 0 and N = I without rows), or
+    None when the rows are not linearly independent."""
+    if not len(rows):
+        return np.zeros(dim), np.eye(dim)
+    U, s, Vt = np.linalg.svd(np.array(rows))
+    if s[-1] <= 1e-12 * s[0]:
+        return None
+    k = len(s)
+    return Vt[:k].T @ ((U.T @ np.array(rhs)) / s), Vt[k:].T
+
+
 def _flat_candidates(pieces, A, b, radius):
     """The candidates of 1/2 v^T A v + b^T v over ||v|| <= radius on the
-    flat p + N w where the affine parts of `pieces` tie, p its min-norm
-    point and N an orthonormal basis of its directions: the trust-region
+    flat p + N w where the affine parts of `pieces` tie: the trust-region
     candidates of w over the ball of radius rho = sqrt(radius^2 - ||p||^2),
     or p alone when rho = 0 or the flat is a point.  No candidate when the
     linear parts are not affinely independent or p lies outside the ball by
     more than rounding."""
     (g0, c0), *rest = [_affine_part(p) for p in pieces]
-    U, s, Vt = np.linalg.svd(np.array([g - g0 for g, _ in rest]))
-    if s[-1] <= 1e-12 * s[0]:
+    flat = _flat([g - g0 for g, _ in rest], [c0 - c for _, c in rest],
+                 len(g0))
+    if flat is None:
         return []
-    k = len(s)
-    p = Vt[:k].T @ ((U.T @ np.array([c0 - c for _, c in rest])) / s)
+    p, N = flat
     rho2 = radius * radius - float(np.vecdot(p, p))
     if rho2 < -1e-12 * radius * radius:
         return []
-    N = Vt[k:].T
     if rho2 <= 0.0 or N.shape[1] == 0:
         return [p]
     return [p + N @ w for w in _trust_region_candidates(
         N.T @ A @ N, N.T @ (A @ p + b), np.sqrt(rho2))]
 
 
-def affine_ties(max_pieces, sum_pieces, dim):
-    """Whether quadratic_ball_minimize is exact on the branch: at most one
-    max-piece, or max-pieces that differ by affine terms (one shared
-    Hessian) with a positive semidefinite total Hessian, so the branch is
-    convex."""
+def _sphere_minimizers(m, R2, N, c, tol):
+    """The minimizers of c.v on the sphere m + N w, ||w||^2 = R2: m alone
+    when |R2| <= tol, none when R2 < -tol or N is empty; both points of a
+    0-dimensional sphere, and m +- sqrt(R2) along every column of N when
+    N^T c is within rounding of 0, so that a set-valued argmin shows."""
+    if abs(R2) <= tol:
+        return [m]
+    if R2 < 0.0 or N.shape[1] == 0:
+        return []
+    R = np.sqrt(R2)
+    h = N.T @ c
+    nh = float(np.sqrt(np.vecdot(h, h)))
+    if N.shape[1] > 1 and nh > 1e-12 * (1.0 + np.linalg.norm(c)):
+        return [m - (R / nh) * (N @ h)]
+    return [m + R * n for n in N.T] + [m - R * n for n in N.T]
+
+
+def _sphere_candidates(pieces, curv, A, b, radius):
+    """The candidates of the branch over ||v|| <= radius on the set where
+    the isotropic `pieces` (Hessians curv_i I, not all equal) tie, with
+    (A, b) the Hessian (c_0 + c_s) I and the linear term g_0 + g_s of the
+    first piece plus the sum.
+
+    The tie of piece 0 with the piece j of most different curvature reads
+    ||v||^2 = alpha + beta.v.  With it every other tie is linear, so the
+    tie set is a sphere inside the flat F of those linear ties, and on it
+    the branch is c.v plus a constant, c = 1/2 (c_0 + c_s) beta + g_0 + g_s.
+    The candidates are the minimizers of c.v on that sphere that lie in the
+    ball (to 1e-12 relative rounding) and those on its points of norm
+    radius, again a sphere, inside F and beta.v = radius^2 - alpha.  No
+    candidate when the linear ties are not independent."""
+    (g0, e0), *rest = [_affine_part(p) for p in pieces]
+    d = curv[0] - np.asarray(curv, dtype=float)
+    j = int(np.argmax(np.abs(d)))
+    gj, ej = rest[j - 1]
+    alpha = -2.0 * (e0 - ej) / d[j]
+    beta = -2.0 * (g0 - gj) / d[j]
+    rows, rhs = [], []
+    for i, (g, e) in enumerate(rest, 1):
+        if i != j:
+            rows.append(g0 - g + 0.5 * d[i] * beta)
+            rhs.append(e - e0 - 0.5 * d[i] * alpha)
+    flat = _flat(rows, rhs, len(g0))
+    if flat is None:
+        return []
+    p, N = flat
+    c = 0.5 * float(np.trace(A)) / len(g0) * beta + b
+    bN = N.T @ beta
+    bp, pp = float(beta @ p), float(np.vecdot(p, p))
+    bb = 0.25 * float(np.vecdot(bN, bN))
+    cands = [v for v in _sphere_minimizers(
+        p + 0.5 * (N @ bN), alpha + bp - pp + bb, N, c,
+        1e-12 * (abs(alpha) + abs(bp) + pp + bb))
+        if np.vecdot(v, v) <= radius * radius * (1.0 + 1e-12)]
+    edge = _flat(rows + [beta], rhs + [radius * radius - alpha], len(g0))
+    if edge is not None:
+        p, N = edge
+        cands += _sphere_minimizers(p, radius * radius - np.vecdot(p, p), N,
+                                    c, 1e-12 * radius * radius)
+    return cands
+
+
+def _curvature(A):
+    """c when the symmetric A is c I to 1e-12 relative rounding, else
+    None."""
+    c = float(np.trace(A)) / len(A)
+    if np.max(np.abs(A - c * np.eye(len(A)))) <= 1e-12 * (1.0 + abs(c)):
+        return c
+    return None
+
+
+def _tie_curvatures(max_pieces, dim):
+    """None when the max-pieces share one Hessian, so every set where they
+    tie is a flat; else the curvature c_i of each (None where its Hessian
+    is not c_i I)."""
+    H = [_quadratic_coefficients([p], dim)[0] for p in max_pieces]
+    if all(np.array_equal(H[0], h) for h in H[1:]):
+        return None
+    return [_curvature(h) for h in H]
+
+
+def exact_ties(max_pieces, sum_pieces, dim):
+    """Whether quadratic_ball_minimize is exact on the branch, which is then
+    convex: at most one max-piece; max-pieces that differ by affine terms
+    (one shared Hessian) with a positive semidefinite total Hessian, so
+    their ties are flats; or else isotropic pieces, every max-piece Hessian
+    c_i I and the sum's c_s I with every c_i + c_s >= 0, so their ties are
+    spheres or flats.  The isotropic test runs only where the shared
+    Hessian test fails."""
     if len(max_pieces) <= 1:
         return True
-    H = [_quadratic_coefficients([p], dim)[0] for p in max_pieces]
-    if not all(np.array_equal(H[0], h) for h in H[1:]):
+    curv = _tie_curvatures(max_pieces, dim)
+    if curv is None:
+        lam = np.linalg.eigvalsh(
+            _quadratic_coefficients(max_pieces[:1] + sum_pieces, dim)[0])
+        return bool(lam[0] >= -1e-12 * (1.0 + float(np.max(np.abs(lam)))))
+    c_s = _curvature(_quadratic_coefficients(sum_pieces, dim)[0])
+    if c_s is None or None in curv:
         return False
-    lam = np.linalg.eigvalsh(
-        _quadratic_coefficients(max_pieces[:1] + sum_pieces, dim)[0])
-    return bool(lam[0] >= -1e-12 * (1.0 + float(np.max(np.abs(lam)))))
+    return min(curv) + c_s >= -1e-12 * (1.0 + max(map(abs, curv + [c_s])))
+
+
+def _live_pieces(max_pieces, radius):
+    """The max-pieces that can be the max somewhere on ||v|| <= radius.  On
+    the ball |q_i(v) - e_i| <= ||g_i|| radius + 1/2 ||A_i||_2 radius^2, so a
+    piece whose upper bound lies below the largest lower bound (by more than
+    rounding) never is."""
+    if len(max_pieces) <= 1:
+        return max_pieces
+    bounds = []
+    for p in max_pieces:
+        g, e = _affine_part(p)
+        a = float(np.linalg.norm(p.A, 2)) if p.kind == "quadratic" else 0.0
+        spread = radius * (float(np.sqrt(np.vecdot(g, g))) + 0.5 * radius * a)
+        bounds.append((e - spread, e + spread))
+    low = max(lo for lo, _ in bounds)
+    return [p for p, (_, hi) in zip(max_pieces, bounds)
+            if hi >= low - 1e-12 * (1.0 + abs(low))]
 
 
 def quadratic_ball_minimize(branches, objective, dim, radius):
     """Exact minimization over ||v|| <= radius of an objective covered by
-    branches (max_pieces, sum_pieces) of quadratic and affine pieces whose
-    max-pieces differ by affine terms (`affine_ties`).
+    branches (max_pieces, sum_pieces) of quadratic and affine pieces on
+    which `exact_ties` holds.
 
-    For each subset S of at most dim + 1 max-pieces the set where they tie
-    is a flat p + N w, on which the branch is one quadratic of w over the
-    ball of radius rho = sqrt(radius^2 - ||p||^2); one max-piece is S = {i}
-    with p = 0 and N = I.  The global minimizers of a quadratic over a ball
-    are the v = -(A + mu I)^-1 b with mu >= 0, A + mu I psd and
+    Max-pieces that cannot be the max anywhere on the ball
+    (`_live_pieces`) are dropped first.  For each subset S of at most
+    dim + 1 of the rest whose curvatures are equal (all of them when the
+    max-pieces share one Hessian), the set where they tie is a flat p + N w,
+    on which the branch is one quadratic of w over the ball of radius
+    rho = sqrt(radius^2 - ||p||^2); one max-piece is S = {i} with p = 0 and
+    N = I.  The global minimizers of a quadratic over a ball are the
+    v = -(A + mu I)^-1 b with mu >= 0, A + mu I psd and
     mu (radius - ||v||) = 0 (More & Sorensen 1983), and
     `_trust_region_candidates` lists them; when rho = 0 or N is empty the
     only candidate is p.  `_flat_candidates` skips S when its linear parts
-    are not affinely independent or p lies outside the ball.  A global
-    minimizer of a convex branch with active set S minimizes the quadratic
-    of S's flat over its ball, so some flat lists it.  v = 0 is a candidate
-    too, for the smallest-norm tie rule.  Candidates a rounding error
-    outside the ball are projected onto it, and the batched `objective`
-    values them all, so a set-valued argmin shows as several points."""
+    are not affinely independent or p lies outside the ball.  For S with
+    isotropic pieces of unequal curvatures the tie set is a sphere inside a
+    flat, on which the branch is linear, and `_sphere_candidates` lists its
+    minimizers on the sphere and on the sphere's points of norm radius.
+
+    A global minimizer v* of a convex branch, with active set S and
+    multipliers lambda_i and mu, minimizes the convex Lagrangian
+    sum lambda_i q_i + s + mu/2 (||v||^2 - radius^2); on the tie set of S
+    that is q_0 + s plus the mu term, which is <= 0 on the ball and 0 at
+    v*, so v* minimizes q_0 + s over the tie set within the ball, and some
+    subset lists it (by Caratheodory S can be taken affinely independent,
+    so of at most dim + 1 pieces).  v = 0 is a candidate too, for the
+    smallest-norm tie rule.  Candidates a rounding error outside the ball
+    are projected onto it, and the batched `objective` values them all, so
+    a set-valued argmin shows as several points."""
     cands = [np.zeros(dim)]
     for max_pieces, sum_pieces in branches:
+        max_pieces = _live_pieces(max_pieces, radius)
+        curv = _tie_curvatures(max_pieces, dim)
         subsets = [S for n in range(1, min(len(max_pieces), dim + 1) + 1)
                    for S in combinations(range(len(max_pieces)), n)] or [()]
         for S in subsets:
             pieces = [max_pieces[i] for i in S]
             A, b = _quadratic_coefficients(pieces[:1] + sum_pieces, dim)
+            c = None if curv is None else [curv[i] for i in S]
             if len(S) <= 1:
                 cands += _trust_region_candidates(A, b, radius)
-            else:
+            elif c is None or max(c) - min(c) <= 1e-12 * (
+                    1.0 + max(map(abs, curv))):
                 cands += _flat_candidates(pieces, A, b, radius)
+            else:
+                cands += _sphere_candidates(pieces, c, A, b, radius)
     V = np.array(cands)
     r = np.sqrt(np.vecdot(V, V))
     out = r > radius

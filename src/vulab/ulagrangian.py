@@ -14,7 +14,7 @@ import numpy as np
 from .errors import BoundaryActive, InconsistentGradient, VULabError
 from .oracle import (AffinePiece, evaluate, evaluate_many,
                      subdifferential_polytope)
-from .solvers import (affine_ties, cluster_minimizers, hull_distance,
+from .solvers import (cluster_minimizers, exact_ties, hull_distance,
                       line_minimize, max_difference_quotient,
                       minimize_branches, quadratic_ball_minimize,
                       sphere_directions)
@@ -88,10 +88,10 @@ def argmin_on_ball(model, base, M, piece, radius):
     The model's branch cover is restricted to the slice base + span(M) and
     `piece` is added to every branch.  A structured model whose pieces are
     all quadratic or affine is solved exactly: by solvers.line_minimize
-    when M has one column, and by solvers.quadratic_ball_minimize when in
-    every branch with two or more max-pieces these differ by affine terms
-    and the branch Hessian is psd (solvers.affine_ties), so the branch is
-    convex and its minimizers lie on the flats where max-pieces tie.
+    when M has one column, and by solvers.quadratic_ball_minimize when
+    every branch with two or more max-pieces is convex with max-pieces
+    that differ by affine terms or are all isotropic (solvers.exact_ties),
+    so its minimizers lie on the flats or spheres where max-pieces tie.
     Custom branch covers only describe their model's value oracle, so they
     and all other problems, nonconvex multi-piece branches included, take
     the SLSQP multistart of solvers.minimize_branches.
@@ -111,7 +111,7 @@ def argmin_on_ball(model, base, M, piece, radius):
         for p in mp + sp)
     if structured and M.shape[1] == 1:
         res = line_minimize(branches, objective, radius)
-    elif structured and all(affine_ties(mp, sp, M.shape[1])
+    elif structured and all(exact_ties(mp, sp, M.shape[1])
                             for mp, sp in branches):
         res = quadratic_ball_minimize(branches, objective, M.shape[1], radius)
     else:

@@ -30,6 +30,16 @@ def golden_min(fun, lo, hi, tol=1e-10):
     return 0.5 * (a + b)
 
 
+# The 3-D crossing f = max{||x||^2 - 2 x3 + 1, x3} as problem JSON, and its
+# base point (0, 0, (3 - sqrt 5)/2), where the two pieces tie.
+CROSSING3_PROBLEM = {"dim": 3, "kind": "max_of_smooth", "name": "crossing_max3",
+                     "pieces": [{"type": "quadratic",
+                                 "A": (2.0 * np.eye(3)).tolist(),
+                                 "b": [0.0, 0.0, -2.0], "c": 1.0},
+                                {"type": "affine", "a": [0.0, 0.0, 1.0]}]}
+CROSSING3_BASE = [0.0, 0.0, (3.0 - SQRT5) / 2.0]
+
+
 def crossing_selection(u):
     """Closed-form selection for the quadratic/affine crossing model."""
     return (SQRT5 - np.sqrt(5.0 - 4.0 * u**2)) / 2.0

@@ -205,19 +205,32 @@ def test_tilt_test_four_quadrant_max_is_decisively_unstable(tmp_path):
     assert summary["witness"] == [0.0, 0.0]
 
 
+# max{1/2 x1^2 + x2^2, x2}: convex max-pieces with different, anisotropic
+# Hessians, so its tilt probes keep the SLSQP multistart.
+ANISOTROPIC_MAX = {"dim": 2, "kind": "max_of_smooth",
+                   "name": "anisotropic_max",
+                   "pieces": [{"type": "quadratic",
+                               "A": [[1.0, 0.0], [0.0, 2.0]]},
+                              {"type": "affine", "a": [0.0, 1.0]}]}
+
+
 @pytest.mark.parametrize("tilt_problem, prox_problem", [
     pytest.param("four_quadrant_max", "four_quadrant_max",
                  id="four_quadrant_max"),
-    ("crossing_max", "abs_diff")])
+    ("anisotropic_max", "abs_diff")])
 def test_solver_budget_makes_verdicts_inconclusive(tmp_path, monkeypatch,
                                                    tilt_problem,
                                                    prox_problem):
     """With an SLSQP budget of one iteration every multistart solve is
     capped: the tilt verdict and the Moreau check read inconclusive rather
     than a verdict from unconverged points, and each run exits 2.  The tilt
-    probes of abs_diff are exact trust-region solves, so crossing_max, whose
-    max-pieces have different Hessians, takes its tilt half; the prox of
-    abs_diff still runs the multistart."""
+    probes of abs_diff and crossing_max are exact ball solves, so
+    ANISOTROPIC_MAX, whose max-pieces have different anisotropic Hessians,
+    takes its tilt half; the prox of abs_diff still runs the multistart."""
+    if tilt_problem == "anisotropic_max":
+        tilt_problem = tmp_path / "anisotropic_max.json"
+        tilt_problem.write_text(json.dumps(ANISOTROPIC_MAX))
+        tilt_problem = str(tilt_problem)
     monkeypatch.setattr(solvers, "MAX_ITERS", 1)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SolverBudgetExceeded)

@@ -7,7 +7,8 @@ import pytest
 from vulab import manifold as mf
 from vulab import oracle, tilt, ulagrangian as ug, vu
 
-from conftest import crossing_selection, frame_context
+from conftest import (CROSSING3_BASE, CROSSING3_PROBLEM, crossing_selection,
+                      frame_context)
 
 
 def test_trace_abs_plus_quad(apq_trace):
@@ -189,14 +190,10 @@ def crossing3_ctx(tmp_path_factory):
     """The 3-D crossing model f = max{x1^2 + x2^2 + (x3 - 1)^2, x3} at
     (0, 0, (3 - sqrt 5)/2), loaded from JSON: dim U = 2 and dim V' = 1 with
     v(u) = (sqrt 5 - sqrt(5 - 4|u|^2))/2."""
-    problem = {"dim": 3, "kind": "max_of_smooth", "name": "crossing_max3",
-               "pieces": [{"type": "quadratic", "A": (2.0 * np.eye(3)).tolist(),
-                           "b": [0.0, 0.0, -2.0], "c": 1.0},
-                          {"type": "affine", "a": [0.0, 0.0, 1.0]}]}
     path = tmp_path_factory.mktemp("problems") / "crossing_max3.json"
-    path.write_text(json.dumps(problem))
+    path.write_text(json.dumps(CROSSING3_PROBLEM))
     model = oracle.load_problem(str(path))
-    base = np.array([0.0, 0.0, (3.0 - np.sqrt(5.0)) / 2.0])
+    base = np.array(CROSSING3_BASE)
     poly = oracle.subdifferential_polytope(model, base)
     ctx = frame_context(model=model,
                         frame=vu.decompose(poly, np.zeros(3), eps=0.3))

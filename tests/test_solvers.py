@@ -1,4 +1,6 @@
+import time
 import warnings
+from itertools import product
 
 import numpy as np
 import pytest
@@ -7,6 +9,8 @@ from scipy.optimize import nnls
 
 from vulab import oracle, solvers, tilt, ulagrangian
 from vulab.errors import SolverBudgetExceeded
+
+from conftest import CROSSING3_BASE, CROSSING3_PROBLEM
 
 
 def tilted(model, z):
@@ -213,8 +217,9 @@ def affine_max_branches(draw):
 
 
 def fermat_residual(max_pieces, A, b, v, radius):
-    """An upper bound on the distance of 0 to the active gradients plus
-    A v + b + mu v, the Fermat rule of the branch over the ball at v: the
+    """An upper bound on the distance of 0 to the active max-piece gradients
+    (affine or quadratic) plus A v + b + mu v, the Fermat rule of the branch
+    over the ball at v: the
     norm of one convex combination of them.  mu = 0 inside the ball, mu >= 0
     on the sphere.  The weights and mu come from nonnegative least squares
     with a sum-to-one row; the weights are then rescaled onto the simplex.
@@ -223,7 +228,8 @@ def fermat_residual(max_pieces, A, b, v, radius):
     vals = np.array([p.value(v) for p in max_pieces])
     top = float(vals.max())
     active = vals >= top - 1e-9 * (1.0 + abs(top))
-    G = np.array([p.a for p, on in zip(max_pieces, active) if on]) + (A @ v + b)
+    G = np.array([p.gradient(v) for p, on in zip(max_pieces, active)
+                  if on]) + (A @ v + b)
     on_sphere = np.linalg.norm(v) >= radius * (1.0 - 1e-9)
     M = np.vstack([G.T, np.ones(len(G))])
     if on_sphere:
@@ -234,17 +240,13 @@ def fermat_residual(max_pieces, A, b, v, radius):
     return float(np.linalg.norm((G + mu * v).T @ lam))
 
 
-@settings(max_examples=40, deadline=None)
-@given(affine_max_branches())
-def test_quadratic_ball_minimize_on_tie_flats_meets_fermat(problem):
-    """A convex branch whose max-pieces are affine is solved exactly on the
-    flats where they tie: every point of the clustered argmin lies in the
-    ball and meets the Fermat rule 0 in grad + N_ball to 1e-9, with mu >= 0
-    and mu (radius - ||v||) = 0, and the best value is never above that of
-    the SLSQP multistart."""
-    max_pieces, sum_pieces, A, b, radius = problem
+def assert_exact_and_optimal(max_pieces, sum_pieces, A, b, radius):
+    """quadratic_ball_minimize on one branch with exact_ties, warnings as
+    errors: values bit-equal to the objective, points in the ball, every
+    point of the clustered argmin meets the Fermat rule to 1e-9, and the
+    best value is never above that of the SLSQP multistart."""
     dim = len(b)
-    assert solvers.affine_ties(max_pieces, sum_pieces, dim)
+    assert solvers.exact_ties(max_pieces, sum_pieces, dim)
     objective = branch_objective(max_pieces, sum_pieces)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -265,9 +267,63 @@ def test_quadratic_ball_minimize_on_tie_flats_meets_fermat(problem):
     assert best <= float(multi.values.min()) + 1e-12 * (1.0 + abs(best))
 
 
+@settings(max_examples=40, deadline=None)
+@given(affine_max_branches())
+def test_quadratic_ball_minimize_on_tie_flats_meets_fermat(problem):
+    """A convex branch whose max-pieces are affine is solved exactly on the
+    flats where they tie: every point of the clustered argmin lies in the
+    ball and meets the Fermat rule 0 in grad + N_ball to 1e-9, with mu >= 0
+    and mu (radius - ||v||) = 0, and the best value is never above that of
+    the SLSQP multistart."""
+    assert_exact_and_optimal(*problem)
+
+
+@st.composite
+def isotropic_max_branches(draw):
+    """One convex branch in R^2 or R^3 of isotropic pieces: 2-4 max-pieces
+    1/2 c_i ||v||^2 + g_i.v + e_i, affine when c_i = 0 (half of them on
+    average), with g_i on the half grid of [-2, 2] and e_i on the quarter
+    grid of [-1, 1]; a sum 1/2 c_s ||v||^2 + b.v with c_s in {0, 1/2, 1, 2}
+    and b on the quarter grid of [-1, 1]; c_i on the half grid of
+    [-c_s, 2], so every c_i + c_s >= 0; and a radius."""
+    dim = draw(st.integers(2, 3))
+    half = st.sampled_from(np.arange(-4, 5) / 2.0)
+    quarter = st.sampled_from(np.arange(-4, 5) / 4.0)
+    c_s = draw(st.sampled_from([0.0, 0.5, 1.0, 2.0]))
+    curvature = st.one_of(st.just(0.0), st.sampled_from(
+        [c for c in np.arange(-4, 5) / 2.0 if c + c_s >= 0.0]))
+    max_pieces = []
+    for _ in range(draw(st.integers(2, 4))):
+        c = draw(curvature)
+        g = draw(st.lists(half, min_size=dim, max_size=dim))
+        e = draw(quarter)
+        max_pieces.append(oracle.AffinePiece(g, e) if c == 0.0 else
+                          oracle.QuadraticPiece(c * np.eye(dim), g, e))
+    A = c_s * np.eye(dim)
+    b = np.array(draw(st.lists(quarter, min_size=dim, max_size=dim)))
+    radius = draw(st.sampled_from([0.25, 0.5, 1.0, 2.0]))
+    if c_s == 0.0:
+        sum_pieces = [oracle.AffinePiece(b)]
+    elif draw(st.booleans()):
+        sum_pieces = [oracle.QuadraticPiece(A, b)]
+    else:
+        sum_pieces = [oracle.QuadraticPiece(A), oracle.AffinePiece(b)]
+    return max_pieces, sum_pieces, A, b, radius
+
+
+@settings(max_examples=60, deadline=None)
+@given(isotropic_max_branches())
+def test_quadratic_ball_minimize_on_tie_spheres_meets_fermat(problem):
+    """A convex branch of isotropic pieces with different curvatures is
+    solved exactly on the spheres (and flats) where they tie: every point
+    of the clustered argmin meets the Fermat rule to 1e-9, and the best
+    value is never above that of the SLSQP multistart."""
+    assert_exact_and_optimal(*problem)
+
+
 @pytest.mark.parametrize("pieces, sum_pieces, expect", [
-    # crossing_max's pieces: different Hessians
-    ([oracle.QuadraticPiece(2.0 * np.eye(2), [0.0, -2.0], 1.0),
+    # different anisotropic Hessians
+    ([oracle.QuadraticPiece(np.diag([1.0, 2.0])),
       oracle.AffinePiece([0.0, 1.0])], [], False),
     # affine max-pieces over a concave sum
     ([oracle.AffinePiece([1.0, 0.0]), oracle.AffinePiece([-1.0, 0.0])],
@@ -275,10 +331,16 @@ def test_quadratic_ball_minimize_on_tie_flats_meets_fermat(problem):
     # one shared Hessian, convex
     ([oracle.QuadraticPiece(2.0 * np.eye(2)),
       oracle.QuadraticPiece(2.0 * np.eye(2), [1.0, -1.0])], [], True),
-    # one max-piece: today's trust-region solve, convex or not
-    ([oracle.QuadraticPiece(-np.eye(2))], [], True)])
+    # one max-piece: the single trust-region solve, convex or not
+    ([oracle.QuadraticPiece(-np.eye(2))], [], True),
+    # crossing_max's pieces: isotropic Hessians 2 I and 0, a sphere tie
+    ([oracle.QuadraticPiece(2.0 * np.eye(2), [0.0, -2.0], 1.0),
+      oracle.AffinePiece([0.0, 1.0])], [], True),
+    # isotropic, but c_i + c_s = 0 - 1 < 0 for the affine piece
+    ([oracle.QuadraticPiece(2.0 * np.eye(2)), oracle.AffinePiece([0.0, 1.0])],
+     [oracle.QuadraticPiece(-np.eye(2))], False)])
 def test_affine_ties_predicate(pieces, sum_pieces, expect):
-    assert solvers.affine_ties(pieces, sum_pieces, 2) is expect
+    assert solvers.exact_ties(pieces, sum_pieces, 2) is expect
 
 
 def test_flat_argmin_in_three_dimensions_is_set_valued(monkeypatch):
@@ -343,3 +405,93 @@ def test_quadratic_ball_minimize_hard_case():
     assert repr(res.minimizers.tolist()) == repr([[-0.5, 0.0], [0.5, 0.0]])
     assert repr(res.value) == repr(-0.125)
     assert not res.single_valued and not res.approximate
+
+
+def forbid_multistart(monkeypatch):
+    """Make the SLSQP epigraph solve and the multistart raise."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("multistart called")
+    monkeypatch.setattr(ulagrangian, "minimize_branches", forbidden)
+    monkeypatch.setattr(solvers, "_epigraph_solve", forbidden)
+
+
+def test_crossing3_probe_at_zero_tilt_returns_the_base_point(monkeypatch):
+    """The 3-D crossing max{||x||^2 - 2 x3 + 1, x3} at its base point
+    (0, 0, (3 - sqrt 5)/2): the pieces tie on a sphere, and the tilt probe
+    at z = 0 returns exactly the base point, without a multistart."""
+    forbid_multistart(monkeypatch)
+    model = oracle.model_from_dict(CROSSING3_PROBLEM)
+    base = np.array(CROSSING3_BASE)
+    res = tilt.tilt_map(model, base, 0.3, np.zeros(3))
+    assert repr(res.minimizers.tolist()) == repr([base.tolist()])
+    assert not res.approximate
+
+
+def test_sphere_tie_with_constant_branch_is_set_valued(monkeypatch):
+    """max(||v||^2, 1/4) on the unit disk: the pieces tie on the circle
+    ||v|| = 1/2, where c = 0, so its points along +-e1 and +-e2 are listed
+    next to v = 0, and the argmin, the disk ||v|| <= 1/2, is set-valued."""
+    forbid_multistart(monkeypatch)
+    model = oracle.FunctionModel(
+        dim=2, kind="max_of_smooth",
+        pieces=[oracle.QuadraticPiece(2.0 * np.eye(2)),
+                oracle.AffinePiece([0.0, 0.0], 0.25)])
+    res = tilt.tilt_map(model, np.zeros(2), 1.0, np.zeros(2))
+    assert len(res.minimizers) >= 2 and res.value == 0.25
+    assert np.all(np.linalg.norm(res.minimizers, axis=1) <= 0.5)
+    assert [0.5, 0.0] in res.minimizers.tolist()
+
+
+def seventeen_piece_max():
+    """max_i g_i.x + e_i in R^3 over the 17 sign vectors g_i in {-1, 0, 1}^3
+    with at least two nonzero entries (the 8 corners, with e_i = 0, so near
+    0 the max is the l1 norm), seven face diagonals at e_i = -1/2, and the
+    two axis vectors +-e1 at e_i = -1/4."""
+    signs = [np.array(s) for s in product((-1.0, 0.0, 1.0), repeat=3)]
+    corners = [s for s in signs if np.count_nonzero(s) == 3]
+    faces = [s for s in signs if np.count_nonzero(s) == 2]
+    axes = [np.array([1.0, 0.0, 0.0]), np.array([-1.0, 0.0, 0.0])]
+    pieces = ([oracle.AffinePiece(g) for g in corners]
+              + [oracle.AffinePiece(g, -0.5) for g in faces[:7]]
+              + [oracle.AffinePiece(g, -0.25) for g in axes])
+    assert len(pieces) == 17
+    return oracle.FunctionModel(dim=3, kind="max_of_smooth", pieces=pieces)
+
+
+def test_dead_pieces_are_dropped_before_the_subsets(monkeypatch):
+    """On a 17-piece 3-D affine max the pieces that cannot be the max on the
+    ball are dropped before the tie subsets are enumerated (all 9 of them
+    at radius 0.05, the face diagonals at 0.1, none at 0.2).  The best
+    value and the single-valuedness are those of the unpruned enumeration,
+    and so is the minimizer where it is unique; a set-valued argmin may be
+    sampled by fewer points.  One probe at radius 0.05 stays under 0.1 s
+    (0.03 s on a 2-core x86-64 machine, 0.11 s unpruned)."""
+    model = seventeen_piece_max()
+    tilts = [np.zeros(3), np.array([0.5, -0.25, 0.125]),
+             np.array([1.0, 1.0, 0.0]), np.array([0.25, 0.5, -1.0])]
+    for radius, live in ((0.05, 8), (0.1, 10), (0.2, 17)):
+        assert len(solvers._live_pieces(model.pieces, radius)) == live
+        for z in tilts:
+            branches = [(model.pieces, [oracle.AffinePiece(-z)])]
+            objective = tilted(model, z)
+            res = solvers.quadratic_ball_minimize(branches, objective, 3,
+                                                  radius)
+            with monkeypatch.context() as m:
+                m.setattr(solvers, "_live_pieces", lambda p, r: p)
+                full = solvers.quadratic_ball_minimize(branches, objective, 3,
+                                                       radius)
+            tol = 1e-9 * (1.0 + abs(float(full.values.min())))
+            reps, best = solvers.cluster_minimizers(res.points, res.values,
+                                                    tol, 1e-6 * radius)
+            ref, ref_best = solvers.cluster_minimizers(
+                full.points, full.values, tol, 1e-6 * radius)
+            assert best == ref_best and (len(reps) == 1) == (len(ref) == 1)
+            if len(ref) == 1:
+                assert repr(reps.tolist()) == repr(ref.tolist())
+    forbid_multistart(monkeypatch)
+    seconds = []
+    for _ in range(3):
+        start = time.perf_counter()
+        tilt.tilt_map(model, np.zeros(3), 0.05, tilts[1])
+        seconds.append(time.perf_counter() - start)
+    assert min(seconds) < 0.1

@@ -8,7 +8,8 @@ from vulab import (cli, envelope, manifold, oracle, solvers, subjets, tilt,
                    ulagrangian, vu)
 from vulab.errors import SolverBudgetExceeded
 
-from conftest import frame_context, neg_norm_squared
+from conftest import (CROSSING3_BASE, CROSSING3_PROBLEM, frame_context,
+                      neg_norm_squared)
 
 
 def brute_tilt_argmin(model, base, eps, z, per_axis=161):
@@ -59,9 +60,10 @@ def test_tilt_map_matches_absolute_reference(abs_diff, abs_plus_quad,
                                              four_quadrant, crossing):
     """The ball solve in coordinates relative to the base point reproduces
     the absolute-coordinate multistart tilt map bit for bit on
-    four_quadrant_max, whose base point is the origin, and within 1e-8 on
-    crossing_max, whose base point is not.  The approximate flags are
-    compared too.  quadratic(I) is one quadratic, solved exactly: x(z) = z
+    four_quadrant_max, whose base point is the origin.  crossing_max,
+    whose base point is not, is solved exactly on the sphere where its
+    isotropic pieces tie, within 1e-8 of the multistart.  The approximate
+    flags are compared too.  quadratic(I) is one quadratic, solved exactly: x(z) = z
     with value -1/2 ||z||^2.  abs_diff and abs_plus_quad are convex with
     max-pieces that differ by affine terms, solved exactly on the flats
     where they tie: the best value is never above the multistart's, and
@@ -302,15 +304,20 @@ def test_hessian_criterion_matches_order2(abs_plus_quad):
     assert abs(lam_min - 2.0 * beta) <= 0.2 * lam_min
 
 
-def test_solver_budget_flagged(crossing, monkeypatch):
-    """crossing_max's max-pieces have different Hessians, so its tilt probe
-    runs the SLSQP multistart, and a budget of one iteration flags it."""
+def test_solver_budget_flagged(monkeypatch):
+    """max{1/2 x1^2 + x2^2, x2} has max-pieces with different, anisotropic
+    Hessians, so its tilt probe runs the SLSQP multistart, and a budget of
+    one iteration flags it."""
+    model = oracle.FunctionModel(
+        dim=2, kind="max_of_smooth",
+        pieces=[oracle.QuadraticPiece(np.diag([1.0, 2.0])),
+                oracle.AffinePiece([0.0, 1.0])])
     monkeypatch.setattr(solvers, "MAX_ITERS", 1)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SolverBudgetExceeded)
         with pytest.warns(SolverBudgetExceeded):
-            res = tilt.tilt_map(crossing, crossing.meta["default_base_point"],
-                                0.3, np.array([0.03, -0.02]))
+            res = tilt.tilt_map(model, np.zeros(2), 0.3,
+                                np.array([0.03, -0.02]))
     assert res.approximate
     assert res.minimizers.shape[0] >= 1
 
@@ -385,10 +392,12 @@ def test_grid_tests_match_scalar_loops(name):
             == repr(scalar_minorant_worst(model, base)))
 
 
-def tilt_test_without_multistart(problem, tmp_path, monkeypatch):
-    """Run the tilt-test campaign on `problem` with minimize_branches and
-    SLSQP replaced by failing stubs and warnings as errors; returns the
-    manifest checks by name and the tilt-test summary."""
+def tilt_test_without_multistart(problem, tmp_path, monkeypatch,
+                                 base_point=None):
+    """Run the tilt-test campaign on `problem` (at `base_point`, if given)
+    with minimize_branches, the SLSQP epigraph solve and SLSQP replaced by
+    failing stubs and warnings as errors; returns the manifest checks by
+    name and the tilt-test summary."""
     calls = []
 
     def forbidden(name):
@@ -398,8 +407,11 @@ def tilt_test_without_multistart(problem, tmp_path, monkeypatch):
         return record
     monkeypatch.setattr(ulagrangian, "minimize_branches",
                         forbidden("minimize_branches"))
+    monkeypatch.setattr(solvers, "_epigraph_solve",
+                        forbidden("_epigraph_solve"))
     monkeypatch.setattr(solvers, "minimize", forbidden("minimize"))
-    config = cli.ExperimentConfig(problem=problem, campaign=["tilt-test"],
+    config = cli.ExperimentConfig(problem=problem, base_point=base_point,
+                                  campaign=["tilt-test"],
                                   output_dir=str(tmp_path))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -434,3 +446,22 @@ def test_polyhedral_tilt_test_runs_no_multistart(tmp_path, monkeypatch):
         "abs_plus_quad", tmp_path / "abs_plus_quad", monkeypatch)
     assert summary["status"] == "stable"
     assert abs(summary["lipschitz_estimate"] - 0.5) <= 1e-14
+
+
+def test_crossing_tilt_tests_run_no_slsqp(tmp_path, monkeypatch):
+    """The max-pieces of crossing_max and of the 3-D crossing
+    max{||x||^2 - 2 x3 + 1, x3} are isotropic (Hessians 2 I and 0), so
+    every tilt probe is exact on the spheres where they tie: no
+    _epigraph_solve, minimize_branches or SLSQP call and no warning.  Both
+    are stable; crossing_max's Lipschitz estimate is within 1e-8 of the
+    multistart's 1.1455103934981794."""
+    _, summary = tilt_test_without_multistart(
+        "crossing_max", tmp_path / "crossing_max", monkeypatch)
+    assert summary["status"] == "stable"
+    assert abs(summary["lipschitz_estimate"] - 1.1455103934981794) <= 1e-8
+    problem = tmp_path / "crossing_max3.json"
+    problem.write_text(json.dumps(CROSSING3_PROBLEM))
+    _, summary = tilt_test_without_multistart(
+        str(problem), tmp_path / "crossing_max3", monkeypatch,
+        base_point=CROSSING3_BASE)
+    assert summary["status"] == "stable"
