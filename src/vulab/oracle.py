@@ -313,7 +313,6 @@ def _crossing_max():
         "default_base_point": base,
         "default_radius": 0.3,
         "known_u": np.array([[1.0], [0.0]]),
-        "selection_closed_form": lambda u: (SQRT5 - np.sqrt(5.0 - 4.0 * u**2)) / 2.0,
         "note": (
             "base_point: the pieces x1^2+(x2-1)^2 and x2 are equal only on the curve "
             "x2 = (3 - sqrt(9 - 4(1+x1^2)))/2; at x1 = 0 this gives x2 = (3-sqrt(5))/2 "
@@ -410,7 +409,6 @@ def _quadratic(A, name):
         "default_base_point": np.zeros(n),
         "default_radius": 1.0,
         "known_u": np.eye(n),
-        "matrix": A,
     }
     return m
 

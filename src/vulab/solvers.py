@@ -271,35 +271,71 @@ def _eigen_weights(g, d, s):
     return np.divide(-g, d + s, out=np.zeros_like(g), where=g != 0.0)
 
 
-# Bisection steps of the boundary root.  A step halves the bracket, and no
-# bracket of doubles survives this many halvings, so the loop always ends
-# first on two adjacent doubles.
+# Steps of each phase of the boundary root.  A bisection step halves the
+# bracket, and no bracket of doubles survives this many halvings, so the
+# bisection always ends first on two adjacent doubles; the Newton phase
+# before it stops at this cap at the latest and hands on a valid bracket.
 ROOT_MAX_STEPS = 2100
 
 
 def _boundary_root(Q, g, d, s_min, radius):
     """The step of the boundary root mu of ||(A + mu I)^-1 b|| = radius,
     found as a shift s = mu + lam_min > s_min, or None when the step at
-    s_min already lies in the ball.  Bisection keeps ||x(hi)|| <= radius and
-    returns x(hi)."""
-    def step_norm(s):
+    s_min already lies in the ball.
+
+    Both phases keep a bracket with ||x(lo)|| > radius >= ||x(hi)||.
+    Newton on the secular equation phi(s) = 1/||x(s)|| - 1/radius, concave
+    and increasing (linear when d = 0), first shrinks it to 8 ulps.  Each
+    Newton point is clipped 4 ulps inside, so a point on the root double
+    still moves the other side.  The midpoint replaces a Newton point below
+    the bracket, and the one after a clipped point that stayed on its side,
+    where phi is flat to rounding.  Bisection then ends on adjacent doubles
+    and returns x(hi).  In round-to-nearest, d + s, the masked division,
+    the squares, the fixed-order vecdot and sqrt are each monotone in s, so
+    ||x(s)|| crosses radius between exactly one pair of adjacent doubles,
+    and the bisection ends on it from any bracket."""
+    def step(s):
         w = _eigen_weights(g, d, s)
-        return np.sqrt(np.vecdot(w, w))
+        return w, np.sqrt(np.vecdot(w, w))
 
     if not np.any((g != 0.0) & (d + s_min == 0.0)) and \
-            step_norm(s_min) <= radius:
+            step(s_min)[1] <= radius:
         return None
     # ||x(s)|| <= ||g|| / s, so the root lies below ||g|| / radius
     lo, hi = s_min, 2.0 * float(np.sqrt(np.vecdot(g, g))) / radius
+    s = hi
+    w, norm = step(s)
+    w_hi, stalled = w, False
+    for _ in range(ROOT_MAX_STEPS):
+        ulp = np.spacing(hi)
+        if hi - lo <= 8.0 * ulp:
+            break
+        # phi'(s) = sum g^2 / (d + s)^3 / ||x||^3, masked as in _eigen_weights
+        slope = np.vecdot(w, np.divide(w, d + s, out=np.zeros_like(w),
+                                       where=w != 0.0))
+        # the Newton point; none when every weight underflowed or after a
+        # stall
+        s = s + (norm - radius) * norm * norm / (radius * slope) \
+            if slope > 0.0 and not stalled else -np.inf
+        lo_in, hi_in = lo + 4.0 * ulp, hi - 4.0 * ulp
+        s = 0.5 * (lo + hi) if s < lo else min(max(s, lo_in), hi_in)
+        w, norm = step(s)
+        if norm > radius:
+            lo = s
+        else:
+            hi, w_hi = s, w
+        # a clipped point that stayed on its side
+        stalled = lo == lo_in or hi == hi_in
     for _ in range(ROOT_MAX_STEPS):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        if step_norm(mid) > radius:
+        w, norm = step(mid)
+        if norm > radius:
             lo = mid
         else:
-            hi = mid
-    return Q @ _eigen_weights(g, d, hi)
+            hi, w_hi = mid, w
+    return Q @ w_hi
 
 
 def _trust_region_candidates(A, b, radius):

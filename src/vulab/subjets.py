@@ -591,7 +591,7 @@ def moreau_model(model, lam):
         dim=model.dim, kind="custom", value_fn=value_fn, gradient_fn=gradient_fn,
         flags=Flags(convex=model.flags.convex),
         name=f"moreau({model.name},{lam})")
-    out.meta = {"source": "moreau", "lam": lam,
+    out.meta = {"source": "moreau",
                 "default_base_point": model.meta.get("default_base_point",
                                                      np.zeros(model.dim))}
     return out

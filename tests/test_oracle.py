@@ -173,7 +173,7 @@ def test_builtin_flags(four_quadrant):
 def test_quadratic_parser():
     assert oracle.builtin("quadratic(I3)").dim == 3
     m = oracle.builtin("quadratic(diag(2,5))")
-    assert np.allclose(m.meta["matrix"], np.diag([2.0, 5.0]))
+    assert np.allclose(m.pieces[0].A, np.diag([2.0, 5.0]))
     with pytest.raises(UnknownBuiltin):
         oracle.builtin("quadratic(hilbert)")
     with pytest.raises(UnknownBuiltin):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import nnls
 
-from vulab import oracle, solvers, tilt, ulagrangian
+from vulab import cli, oracle, solvers, tilt, ulagrangian
 from vulab.errors import SolverBudgetExceeded
 
 from conftest import CROSSING3_BASE, CROSSING3_PROBLEM
@@ -405,6 +405,132 @@ def test_quadratic_ball_minimize_hard_case():
     assert repr(res.minimizers.tolist()) == repr([[-0.5, 0.0], [0.5, 0.0]])
     assert repr(res.value) == repr(-0.125)
     assert not res.single_valued and not res.approximate
+
+
+def bisection_boundary_root(Q, g, d, s_min, radius):
+    """The boundary root by bisection alone, from [s_min, 2 ||g|| / radius]
+    down to adjacent doubles: the reference of solvers._boundary_root."""
+    def step_norm(s):
+        w = solvers._eigen_weights(g, d, s)
+        return np.sqrt(np.vecdot(w, w))
+
+    if not np.any((g != 0.0) & (d + s_min == 0.0)) and \
+            step_norm(s_min) <= radius:
+        return None
+    lo, hi = s_min, 2.0 * float(np.sqrt(np.vecdot(g, g))) / radius
+    for _ in range(solvers.ROOT_MAX_STEPS):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if step_norm(mid) > radius:
+            lo = mid
+        else:
+            hi = mid
+    return Q @ solvers._eigen_weights(g, d, hi)
+
+
+@st.composite
+def secular_problems(draw):
+    """(A, b, radius) in R^1 to R^4: A = 0, A = c I, A = U diag(lam) U^T
+    indefinite or not with a random rotation U, or diagonal on the quarter
+    grid (exact eigenvectors); b = U c with |b| from 1e-6 to 1e3, c often
+    zero on the eigenvectors of lam_min (the hard case, up to the rounding
+    of U); radius from 1e-3 to 3."""
+    dim = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["zero", "isotropic", "rotated", "dyadic"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    U = np.eye(dim)
+    if kind == "zero":
+        lam = np.zeros(dim)
+    elif kind == "isotropic":
+        lam = np.full(dim, rng.uniform(-3.0, 3.0))
+    elif kind == "rotated":
+        U = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
+        lam = rng.uniform(-3.0, 3.0, dim)
+    else:
+        lam = rng.integers(-8, 9, dim) / 4.0
+    c = rng.standard_normal(dim)
+    if draw(st.booleans()):
+        c[lam == lam.min()] = 0.0
+    if draw(st.booleans()):
+        c[draw(st.integers(0, dim - 1))] = 0.0
+    scale = draw(st.floats(-6.0, 3.0))
+    if np.any(c):
+        c *= 10.0 ** scale / np.linalg.norm(c)
+    A = U @ np.diag(lam) @ U.T
+    return 0.5 * (A + A.T), U @ c, 10.0 ** draw(st.floats(-3.0, np.log10(3.0)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(secular_problems())
+def test_boundary_root_matches_bisection_bit_for_bit(problem):
+    """The Newton bracket followed by the bisection ends on the same double
+    as bisection alone, so the boundary step is equal bit for bit (or None
+    on both sides), with no floating-point warning."""
+    A, b, radius = problem
+    lam, Q = np.linalg.eigh(A)
+    g = Q.T @ b
+    args = (Q, g, lam - lam[0], max(lam[0], 0.0), radius)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = solvers._boundary_root(*args)
+    expect = bisection_boundary_root(*args)
+    assert (got is None) == (expect is None)
+    if got is not None:
+        assert_bits_equal(got, expect)
+
+
+def count_step_evaluations(monkeypatch):
+    """Count the calls of solvers._eigen_weights, one per step evaluation
+    of the boundary root, in the one-item list returned."""
+    calls = [0]
+    eigen_weights = solvers._eigen_weights
+
+    def counted(*args):
+        calls[0] += 1
+        return eigen_weights(*args)
+    monkeypatch.setattr(solvers, "_eigen_weights", counted)
+    return calls
+
+
+@pytest.mark.parametrize("g0", [1e-16, 1e-15])
+def test_boundary_root_near_the_hard_case(g0, monkeypatch):
+    """lam = (0, 3.43) with b almost orthogonal to e1: the root is near
+    s = 1.5e-14, where ||x(s)|| equals radius to the last bit over a run of
+    doubles and Newton stalls.  The root still equals bisection's bit for
+    bit, with no more step evaluations (about 75 against 100; creeping 4
+    ulps at a time would take about 145)."""
+    calls = count_step_evaluations(monkeypatch)
+    args = (np.eye(2), np.array([g0, 2.62535467]), np.array([0.0, 3.42647428]),
+            0.0, 0.7665777293331387)
+    got = solvers._boundary_root(*args)
+    newton_calls, calls[0] = calls[0], 0
+    assert_bits_equal(got, bisection_boundary_root(*args))
+    assert newton_calls <= calls[0]
+
+
+@pytest.mark.parametrize("problem", ["abs_diff", "crossing_max",
+                                     "quadratic(-I)"])
+def test_boundary_root_takes_few_step_evaluations(problem, tmp_path,
+                                                  monkeypatch):
+    """On the tilt probes of abs_diff, crossing_max and quadratic(-I) each
+    boundary root evaluates the step at most 8 times (bisection alone takes
+    about 55): on their ties and single pieces d = 0, so the secular
+    equation is linear and one Newton step lands on the root."""
+    calls, per_root = count_step_evaluations(monkeypatch), []
+    boundary_root = solvers._boundary_root
+
+    def root(*args):
+        before = calls[0]
+        out = boundary_root(*args)
+        per_root.append(calls[0] - before)
+        return out
+    monkeypatch.setattr(solvers, "_boundary_root", root)
+    config = cli.ExperimentConfig(problem=problem, campaign=["tilt-test"],
+                                  output_dir=str(tmp_path))
+    _, code = cli.Runner(config).run()
+    assert code == 0 and len(per_root) >= 81
+    assert max(per_root) <= 8
 
 
 def forbid_multistart(monkeypatch):

@@ -231,13 +231,12 @@ def test_exact_selection_matches_closed_form(tmp_path):
         output_dir=str(tmp_path)))
     ctx = frame_context(model=runner.model, frame=runner.frame,
                         eps_v=runner.radii["eps_v"])
-    closed = runner.model.meta["selection_closed_form"]
     delta = runner.radii["delta"]
     nodes = np.linspace(-delta, delta, runner.resolution)
     assert len(nodes) == 21
     for u in nodes:
         v = ctx.vprime_basis @ ug.v_of_u(ctx, np.array([u]))
-        assert abs(v[1] - closed(u)) <= 1e-14
+        assert abs(v[1] - crossing_selection(u)) <= 1e-14
 
 
 def test_line_path_makes_no_multistart(apq_ctx, crossing_ctx, four_quadrant,
