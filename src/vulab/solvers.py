@@ -298,9 +298,12 @@ def _boundary_root(Q, g, d, s_min, radius):
         w = _eigen_weights(g, d, s)
         return w, np.sqrt(np.vecdot(w, w))
 
-    if not np.any((g != 0.0) & (d + s_min == 0.0)) and \
-            step(s_min)[1] <= radius:
-        return None
+    if not np.any((g != 0.0) & (d + s_min == 0.0)):
+        # an entry beyond radius puts the step outside the ball before the
+        # sum of its squares can overflow
+        w = _eigen_weights(g, d, s_min)
+        if np.max(np.abs(w)) <= radius and np.sqrt(np.vecdot(w, w)) <= radius:
+            return None
     # ||x(s)|| <= ||g|| / s, so the root lies below ||g|| / radius
     lo, hi = s_min, 2.0 * float(np.sqrt(np.vecdot(g, g))) / radius
     s = hi
@@ -350,7 +353,8 @@ def _trust_region_candidates(A, b, radius):
     g = Q.T @ b
     if lam[0] > 0.0:
         x = Q @ _eigen_weights(g, lam, 0.0)
-        if np.linalg.norm(x) <= radius:
+        # the entry test first, as in _boundary_root, so no norm overflows
+        if np.max(np.abs(x)) <= radius and np.linalg.norm(x) <= radius:
             cands.append(x)
     d = lam - lam[0]
     x = _boundary_root(Q, g, d, max(lam[0], 0.0), radius)

@@ -19,8 +19,8 @@ from .errors import (CapabilityMissing, EmptyBundle, LambdaTooLarge,
 from .oracle import (DEFAULT_ACTIVE_TOL, QuadraticPiece, FunctionModel, Flags,
                      active_set, evaluate, evaluate_many,
                      subdifferential_polytope)
-from .solvers import (cluster_minimizers, minimize_branches,
-                      sphere_directions, _offset_lattice)
+from .solvers import sphere_directions, _offset_lattice
+from .ulagrangian import argmin_on_ball
 from . import vu
 
 
@@ -528,9 +528,10 @@ def lambda_too_large(model, lam):
 def prox_points(model, lam, x):
     """Envelope value, the prox points at x and whether a solver hit its
     budget (the points are then approximate, and SolverBudgetExceeded is
-    warned).  The prox points are every minimizer that cluster_minimizers
-    keeps, nearest to x first; more than one point means the prox is
-    set-valued at x.
+    warned).  The prox points are x + v for every minimizer v of
+    f(x + v) + ||v||^2 / (2 lam) that ulagrangian.argmin_on_ball keeps,
+    nearest to x first; more than one point means the prox is set-valued
+    at x.
 
     Requires lam > 0 and, when a quadratic minorant (alpha, R) is declared,
     R < 1/lam; the value is the objective at the first prox point.
@@ -542,11 +543,7 @@ def prox_points(model, lam, x):
         R = model.flags.quadratic_minorant[1]
         raise LambdaTooLarge(f"quadratic minorant R={R} requires lam < {1/R}")
     radius = 4.0 * (1.0 + np.linalg.norm(x) + lam)
-    prox_piece = QuadraticPiece(np.eye(model.dim) / lam, -x / lam,
-                                float(x @ x) / (2.0 * lam))
-    branches = model.solver_branches()
-    if branches is not None:
-        branches = [(mp, sp + [prox_piece]) for mp, sp in branches]
+    eye = np.eye(model.dim)
 
     def objective(U):
         return (evaluate_many(model, U)
@@ -557,15 +554,12 @@ def prox_points(model, lam, x):
         # its solver warnings
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            res = minimize_branches(branches, objective, x, radius)
-        reps, best = cluster_minimizers(res.points, res.values,
-                                        1e-9 * (1 + abs(res.values.min())), 1e-9)
-        reps = np.array(sorted(reps, key=lambda p: (np.linalg.norm(p - x),
-                                                    tuple(p))), dtype=float)
-        if np.linalg.norm(reps[0] - x) < radius * (1.0 - 1e-6):
+            steps, _, approximate = argmin_on_ball(
+                model, x, eye, QuadraticPiece(eye / lam), radius)
+        if np.linalg.norm(steps[0]) < radius * (1.0 - 1e-6):
             for w in caught:
                 warnings.warn(w.message, stacklevel=2)
-            return float(objective(reps[:1])[0]), reps, res.approximate
+            return float(objective(x + steps[:1])[0]), x + steps, approximate
         radius *= 4.0
     raise LambdaTooLarge("prox search kept hitting the search-ball boundary")
 

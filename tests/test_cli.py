@@ -205,36 +205,34 @@ def test_tilt_test_four_quadrant_max_is_decisively_unstable(tmp_path):
     assert summary["witness"] == [0.0, 0.0]
 
 
-# max{1/2 x1^2 + x2^2, x2}: convex max-pieces with different, anisotropic
-# Hessians, so its tilt probes keep the SLSQP multistart.
+# max{1/2 x1^2 + x2^2 + x2, -x2}: convex max-pieces with different,
+# anisotropic Hessians, so its tilt probes and prox solves keep the SLSQP
+# multistart; 0 lies in the relative interior of its subdifferential at 0.
 ANISOTROPIC_MAX = {"dim": 2, "kind": "max_of_smooth",
                    "name": "anisotropic_max",
                    "pieces": [{"type": "quadratic",
-                               "A": [[1.0, 0.0], [0.0, 2.0]]},
-                              {"type": "affine", "a": [0.0, 1.0]}]}
+                               "A": [[1.0, 0.0], [0.0, 2.0]],
+                               "b": [0.0, 1.0]},
+                              {"type": "affine", "a": [0.0, -1.0]}]}
 
 
-@pytest.mark.parametrize("tilt_problem, prox_problem", [
-    pytest.param("four_quadrant_max", "four_quadrant_max",
-                 id="four_quadrant_max"),
-    ("anisotropic_max", "abs_diff")])
+@pytest.mark.parametrize("problem", ["four_quadrant_max", "anisotropic_max"])
 def test_solver_budget_makes_verdicts_inconclusive(tmp_path, monkeypatch,
-                                                   tilt_problem,
-                                                   prox_problem):
+                                                   problem):
     """With an SLSQP budget of one iteration every multistart solve is
     capped: the tilt verdict and the Moreau check read inconclusive rather
     than a verdict from unconverged points, and each run exits 2.  The tilt
-    probes of abs_diff and crossing_max are exact ball solves, so
-    ANISOTROPIC_MAX, whose max-pieces have different anisotropic Hessians,
-    takes its tilt half; the prox of abs_diff still runs the multistart."""
-    if tilt_problem == "anisotropic_max":
-        tilt_problem = tmp_path / "anisotropic_max.json"
-        tilt_problem.write_text(json.dumps(ANISOTROPIC_MAX))
-        tilt_problem = str(tilt_problem)
+    probes and prox solves of abs_diff and crossing_max are exact ball
+    solves, so ANISOTROPIC_MAX, whose max-pieces have different anisotropic
+    Hessians, takes the place of the structured models on both halves."""
+    if problem == "anisotropic_max":
+        problem = tmp_path / "anisotropic_max.json"
+        problem.write_text(json.dumps(ANISOTROPIC_MAX))
+        problem = str(problem)
     monkeypatch.setattr(solvers, "MAX_ITERS", 1)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SolverBudgetExceeded)
-        manifest, code = run_campaign(tilt_problem, "tilt-test",
+        manifest, code = run_campaign(problem, "tilt-test",
                                       tmp_path / "tilt")
     assert code == 2 and manifest["overall"] == "inconclusive"
     checks = {c["name"]: c for c in manifest["campaigns"]["tilt-test"]["checks"]}
@@ -243,8 +241,7 @@ def test_solver_budget_makes_verdicts_inconclusive(tmp_path, monkeypatch,
                if name != "tilt_verdict_decisive")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SolverBudgetExceeded)
-        manifest, code = run_campaign(prox_problem, "appendix",
-                                      tmp_path / "app")
+        manifest, code = run_campaign(problem, "appendix", tmp_path / "app")
     assert code == 2 and manifest["overall"] == "inconclusive"
     checks = {c["name"]: c for c in manifest["campaigns"]["appendix"]["checks"]}
     moreau = checks["moreau_gradient_consistency"]
@@ -511,14 +508,50 @@ def test_appendix_of_the_3d_crossing_passes(tmp_path):
 
 
 def test_appendix_moreau_bytes_without_set_valued_prox(tmp_path):
-    """Solver twins of one prox point (a few 1e-8 apart on crossing_max) do
-    not make the prox set-valued: every point counts and no detail is
-    written."""
+    """crossing_max's prox is one point, solved exactly on the sphere where
+    its isotropic pieces tie: every point counts, no detail is written, and
+    the envelope gradient (x - p)/lam meets its finite differences to
+    1e-9."""
     manifest, code = run_campaign("crossing_max", "appendix", tmp_path)
     assert code == 0
     checks = {c["name"]: c for c in
               manifest["campaigns"]["appendix"]["checks"]}
     assert "detail" not in checks["moreau_gradient_consistency"]
+    assert checks["moreau_gradient_consistency"]["value"] <= 1e-9
+
+
+@pytest.mark.parametrize("problem", ["abs_diff", "abs_plus_quad",
+                                     "crossing_max", "quadratic(I)",
+                                     "huber_source_abs"])
+def test_structured_appendix_runs_no_multistart(tmp_path, monkeypatch,
+                                                problem):
+    """Every prox solve of a structured builtin's Moreau check is exact
+    (line_minimize in 1-D, quadratic_ball_minimize in 2-D): the appendix
+    makes no minimize_branches call, its only SLSQP solves are the hull
+    distances of the second-order component, it warns nothing, and every
+    check passes or is skipped, the Moreau check passing."""
+    calls = []
+    slsqp = solvers.minimize
+
+    def forbidden(*args, **kwargs):
+        calls.append("minimize_branches")
+        raise AssertionError("minimize_branches called")
+
+    def hull_distances_only(fun, *args, **kwargs):
+        if not fun.__qualname__.startswith("hull_distance."):
+            calls.append(fun.__qualname__)
+            raise AssertionError(f"SLSQP called on {fun.__qualname__}")
+        return slsqp(fun, *args, **kwargs)
+    monkeypatch.setattr(ulagrangian, "minimize_branches", forbidden)
+    monkeypatch.setattr(solvers, "minimize", hull_distances_only)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        manifest, code = run_campaign(problem, "appendix", tmp_path)
+    assert calls == [] and code == 0
+    checks = manifest["campaigns"]["appendix"]["checks"]
+    assert all(c["status"] in ("pass", "skipped") for c in checks)
+    assert any(c["name"] == "moreau_gradient_consistency"
+               and c["status"] == "pass" for c in checks)
 
 
 def test_lagrangian_boundary_column_reads_the_node_solve(tmp_path):

@@ -480,6 +480,22 @@ def test_boundary_root_matches_bisection_bit_for_bit(problem):
         assert_bits_equal(got, expect)
 
 
+def test_in_ball_tests_do_not_overflow():
+    """A = 1.4e-297 I, b = (1), radius 1: the interior step -A^-1 b and the
+    step at s_min = 1.4e-297 are about 7e296 long.  Both in-ball tests
+    reject them before a sum of squares can overflow, with no
+    floating-point warning, and the only candidate is the boundary root
+    -1, as before the entry test."""
+    A, b = np.array([[1.4e-297]]), np.array([1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cands = solvers._trust_region_candidates(A, b, 1.0)
+        root = solvers._boundary_root(np.eye(1), b, np.zeros(1), 1.4e-297,
+                                      1.0)
+    assert_bits_equal(cands, [[-1.0]])
+    assert_bits_equal(root, [-1.0])
+
+
 def count_step_evaluations(monkeypatch):
     """Count the calls of solvers._eigen_weights, one per step evaluation
     of the boundary root, in the one-item list returned."""

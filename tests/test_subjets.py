@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from vulab import oracle, solvers, subjets as sj, vu
+from vulab import oracle, solvers, subjets as sj, ulagrangian, vu
 from vulab.errors import (EmptyBundle, LambdaTooLarge, NotASubspace,
                           SingularHessian, SolverBudgetExceeded)
 from vulab.solvers import _offset_lattice, sphere_directions
@@ -226,21 +226,76 @@ def test_prox_points_carry_the_budget_flag(four_quadrant, monkeypatch):
 
 
 def test_only_the_returned_prox_attempt_warns(four_quadrant, monkeypatch):
-    """-||x||^2 without a declared minorant: every prox attempt lands on its
-    search ball and is discarded, so the SLSQP solve that hits its budget on
-    the way warns nothing and only LambdaTooLarge comes out.  A returned
-    approximate result still warns."""
-    neg_norm = oracle.model_from_dict(
+    """max{-y1^2 - 2 y2^2, -2 y1^2 - y2^2} without a declared minorant: its
+    max-pieces have different anisotropic Hessians, so the prox takes the
+    multistart, and the prox objective is unbounded below.  With a budget
+    of 20 SLSQP iterations every attempt warns and lands on its search
+    ball, so every attempt is discarded with its warnings and only
+    LambdaTooLarge comes out.  A returned approximate result still warns."""
+    saddle_max = oracle.model_from_dict(
         {"dim": 2, "kind": "max_of_smooth",
-         "pieces": [{"type": "quadratic", "A": [[-2.0, 0.0], [0.0, -2.0]]}]})
+         "pieces": [{"type": "quadratic", "A": [[-2.0, 0.0], [0.0, -4.0]]},
+                    {"type": "quadratic", "A": [[-4.0, 0.0], [0.0, -2.0]]}]})
+    x = np.array([0.3, 0.0])
+    monkeypatch.setattr(solvers, "MAX_ITERS", 20)
+    with pytest.warns(SolverBudgetExceeded):
+        steps, _, capped = ulagrangian.argmin_on_ball(
+            saddle_max, x, np.eye(2), oracle.QuadraticPiece(2.0 * np.eye(2)),
+            4.0 * (1.0 + 0.3 + 0.5))
+    assert capped
     with warnings.catch_warnings():
         warnings.simplefilter("error", SolverBudgetExceeded)
         with pytest.raises(LambdaTooLarge):
-            sj.prox_points(neg_norm, 0.5, np.array([0.3, 0.0]))
+            sj.prox_points(saddle_max, 0.5, x)
     monkeypatch.setattr(solvers, "MAX_ITERS", 1)
     with pytest.warns(SolverBudgetExceeded):
         _, _, capped = sj.prox_points(four_quadrant, 0.5, np.array([0.3, 0.0]))
     assert capped
+
+
+def reference_prox_points(model, lam, x):
+    """Reference: the prox by the SLSQP multistart in absolute coordinates,
+    with the model's own branch cover plus the prox piece, centred at x,
+    its minimizers clustered 1e-9 apart and sorted by distance to x, on the
+    same search balls as prox_points.  Returns (value, points)."""
+    radius = 4.0 * (1.0 + np.linalg.norm(x) + lam)
+    prox_piece = oracle.QuadraticPiece(np.eye(model.dim) / lam, -x / lam,
+                                       float(x @ x) / (2.0 * lam))
+    branches = [(mp, sp + [prox_piece]) for mp, sp in model.solver_branches()]
+
+    def objective(U):
+        return (oracle.evaluate_many(model, U)
+                + np.sum((x - U) ** 2, axis=1) / (2.0 * lam))
+
+    for attempt in range(3):
+        res = solvers.minimize_branches(branches, objective, x, radius)
+        reps, _ = solvers.cluster_minimizers(
+            res.points, res.values, 1e-9 * (1 + abs(res.values.min())), 1e-9)
+        reps = np.array(sorted(reps, key=lambda p: (np.linalg.norm(p - x),
+                                                    tuple(p))), dtype=float)
+        if np.linalg.norm(reps[0] - x) < radius * (1.0 - 1e-6):
+            return float(objective(reps[:1])[0]), reps
+        radius *= 4.0
+    raise LambdaTooLarge("prox search kept hitting the search-ball boundary")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", ["abs_diff", "abs_plus_quad", "crossing_max",
+                                  "quadratic(I)", "huber_source_abs"])
+def test_exact_prox_is_no_worse_than_the_multistart(name):
+    """On the convex builtins the exact prox solve through argmin_on_ball
+    returns one prox point, and its envelope value is never above the
+    multistart reference's by more than 1e-15 relative, at seeded points
+    around the base point and for lam in {0.5, 1}."""
+    model = oracle.builtin(name)
+    rng = np.random.default_rng(25)
+    for lam in (0.5, 1.0):
+        for x in model.meta["default_base_point"] + rng.uniform(
+                -0.5, 0.5, size=(6, model.dim)):
+            val, prox, approximate = sj.prox_points(model, lam, x)
+            ref, _ = reference_prox_points(model, lam, x)
+            assert len(prox) == 1 and not approximate
+            assert val <= ref + 1e-15 * (1.0 + abs(val))
 
 
 @pytest.mark.parametrize("name", ["huber_source_abs", "abs_plus_quad",
