@@ -11,6 +11,7 @@ from itertools import combinations, product
 import warnings
 
 import numpy as np
+# linprog stays bound here because the benchmark tracer wraps solvers.linprog
 from scipy.optimize import linprog, minimize
 
 from .errors import SolverBudgetExceeded
@@ -271,6 +272,18 @@ def _eigen_weights(g, d, s):
     return np.divide(-g, d + s, out=np.zeros_like(g), where=g != 0.0)
 
 
+def _step_in_ball(g, d, s, radius):
+    """The weights of the step at shift s (see _eigen_weights) when it lies
+    in the ball of that radius, else None.  An entry |g| / (d + s) beyond
+    radius puts the step outside; that test comes before the division, so
+    neither the division nor the sum of squares can overflow, and it
+    rejects g != 0 where d + s = 0."""
+    if np.any(np.abs(g) > radius * (d + s)):
+        return None
+    w = _eigen_weights(g, d, s)
+    return w if np.sqrt(np.vecdot(w, w)) <= radius else None
+
+
 # Steps of each phase of the boundary root.  A bisection step halves the
 # bracket, and no bracket of doubles survives this many halvings, so the
 # bisection always ends first on two adjacent doubles; the Newton phase
@@ -298,12 +311,8 @@ def _boundary_root(Q, g, d, s_min, radius):
         w = _eigen_weights(g, d, s)
         return w, np.sqrt(np.vecdot(w, w))
 
-    if not np.any((g != 0.0) & (d + s_min == 0.0)):
-        # an entry beyond radius puts the step outside the ball before the
-        # sum of its squares can overflow
-        w = _eigen_weights(g, d, s_min)
-        if np.max(np.abs(w)) <= radius and np.sqrt(np.vecdot(w, w)) <= radius:
-            return None
+    if _step_in_ball(g, d, s_min, radius) is not None:
+        return None
     # ||x(s)|| <= ||g|| / s, so the root lies below ||g|| / radius
     lo, hi = s_min, 2.0 * float(np.sqrt(np.vecdot(g, g))) / radius
     s = hi
@@ -351,11 +360,9 @@ def _trust_region_candidates(A, b, radius):
     cands = []
     lam, Q = np.linalg.eigh(A)
     g = Q.T @ b
-    if lam[0] > 0.0:
-        x = Q @ _eigen_weights(g, lam, 0.0)
-        # the entry test first, as in _boundary_root, so no norm overflows
-        if np.max(np.abs(x)) <= radius and np.linalg.norm(x) <= radius:
-            cands.append(x)
+    w = _step_in_ball(g, lam, 0.0, radius) if lam[0] > 0.0 else None
+    if w is not None:
+        cands.append(Q @ w)
     d = lam - lam[0]
     x = _boundary_root(Q, g, d, max(lam[0], 0.0), radius)
     if x is not None:
@@ -652,39 +659,76 @@ def hull_point_candidates(generators):
     return out
 
 
+# Major steps of hull_distance.  In exact arithmetic each one strictly
+# shortens the iterate, so no corral repeats and the method is finite;
+# hull_distance also stops at a repeated corral, so the cap is only a guard.
+HULL_MAX_STEPS = 500
+
+
+def _affine_min_norm(Q):
+    """The min-norm point z of the affine hull of the rows of Q and its
+    weights a, summing to 1: least squares in the differences Q_i - Q_0,
+    which does not square their condition number as the normal equations
+    would, and takes the min-norm solution when they are dependent.  z
+    carries an error of order 1e-16 max ||Q_i|| along the hull, which can
+    hide the thin direction of a flat polytope from the next major step;
+    one more solve on the residual removes it down to 1e-16 ||z||."""
+    B = (Q[1:] - Q[0]).T
+    c = np.linalg.lstsq(B, -Q[0], rcond=None)[0]
+    z = Q[0] + B @ c
+    d = np.linalg.lstsq(B, -z, rcond=None)[0]
+    return np.concatenate([[1.0 - np.sum(c + d)], c + d]), z + B @ d
+
+
 def hull_distance(generators, point):
-    """Euclidean distance from `point` to co(generators), via the simplex QP
-    min ||G^T lam - point||^2 over the probability simplex (SLSQP, small m)."""
-    G = np.atleast_2d(np.asarray(generators, dtype=float))
-    p = np.asarray(point, dtype=float)
-    m = G.shape[0]
-    if m == 1:
-        return float(np.linalg.norm(G[0] - p))
+    """Euclidean distance from `point` to co(generators), by Wolfe's
+    min-norm-point method (Math. Programming 11, 1976) on P = G - point.
 
-    def obj(lam):
-        r = G.T @ lam - p
-        return float(r @ r)
-
-    def jac(lam):
-        return 2.0 * (G @ (G.T @ lam - p))
-
-    cons = [{"type": "eq", "fun": lambda lam: np.sum(lam) - 1.0,
-             "jac": lambda lam: np.ones(m)}]
-    lam0 = np.full(m, 1.0 / m)
-    res = minimize(obj, lam0, jac=jac, method="SLSQP", bounds=[(0.0, 1.0)] * m,
-                   constraints=cons, options={"maxiter": 200, "ftol": 1e-16})
-    return float(np.sqrt(max(res.fun, 0.0)))
+    The iterate x is a convex combination of a corral S of rows of P,
+    starting from the nearest one.  A major step adds the row P_j of least
+    P_j.x while x.x - P_j.x exceeds the rounding of P_j.x, 1e-14 max ||P_j||
+    ||x|| (a test on the squares would stop 1e-8 from 0 inside a triangle
+    2.5e-7 thick); minor steps then move x to the min-norm point of the
+    affine hull of S: while that point has a negative weight, x goes along
+    the segment to it only as far as the simplex allows, and the rows whose
+    weight reaches 0 leave S.  In exact arithmetic no corral repeats; when
+    rounding brings one back (a row added and dropped at once, or two
+    corrals in turn around a point 1e-29 from 0) the method ends there.
+    Inside a polytope flatter than about 1e-8 of its size, the weights a
+    corral needs fall below rounding and the reading is bounded by the
+    thickness.  After HULL_MAX_STEPS major steps it warns
+    SolverBudgetExceeded and returns ||x||, an upper bound."""
+    P = (np.atleast_2d(np.asarray(generators, dtype=float))
+         - np.asarray(point, dtype=float))
+    sq = np.vecdot(P, P)
+    scale = 1e-14 * float(np.sqrt(np.max(sq)))
+    S = [int(np.argmin(sq))]
+    w, x = np.ones(1), P[S[0]]
+    xx, seen = float(np.vecdot(x, x)), {frozenset(S)}
+    for _ in range(HULL_MAX_STEPS):
+        dots = P @ x
+        j = int(np.argmin(dots))
+        if xx - dots[j] <= scale * np.sqrt(xx):
+            return float(np.sqrt(xx))
+        S, w = S + [j], np.append(w, 0.0)
+        a, y = _affine_min_norm(P[S])
+        while np.min(a) < 0.0:
+            neg = np.flatnonzero(a < 0.0)
+            ratio = w[neg] / (w[neg] - a[neg])
+            k = int(np.argmin(ratio))
+            w = w + ratio[k] * (a - w)
+            w[neg[k]] = 0.0
+            S, w = [s for s, wi in zip(S, w) if wi > 0.0], w[w > 0.0]
+            a, y = _affine_min_norm(P[S])
+        S, w = [s for s, ai in zip(S, a) if ai > 0.0], a[a > 0.0]
+        x, xx = y, float(np.vecdot(y, y))
+        if frozenset(S) in seen:
+            return float(np.sqrt(xx))
+        seen.add(frozenset(S))
+    warnings.warn("hull distance hit its step budget", SolverBudgetExceeded)
+    return float(np.sqrt(xx))
 
 
 def in_hull(generators, point, tol=1e-8):
-    """Feasibility of point in co(generators) by LP (exact at LP tolerance)."""
-    G = np.atleast_2d(np.asarray(generators, dtype=float))
-    p = np.asarray(point, dtype=float)
-    m, n = G.shape
-    A_eq = np.vstack([G.T, np.ones((1, m))])
-    b_eq = np.append(p, 1.0)
-    res = linprog(np.zeros(m), A_eq=A_eq, b_eq=b_eq, bounds=[(0.0, None)] * m,
-                  method="highs")
-    if res.status == 0:
-        return True
-    return hull_distance(G, p) <= tol
+    """Whether point lies within tol of co(generators)."""
+    return hull_distance(generators, point) <= tol

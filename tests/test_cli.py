@@ -526,24 +526,20 @@ def test_appendix_moreau_bytes_without_set_valued_prox(tmp_path):
 def test_structured_appendix_runs_no_multistart(tmp_path, monkeypatch,
                                                 problem):
     """Every prox solve of a structured builtin's Moreau check is exact
-    (line_minimize in 1-D, quadratic_ball_minimize in 2-D): the appendix
-    makes no minimize_branches call, its only SLSQP solves are the hull
-    distances of the second-order component, it warns nothing, and every
+    (line_minimize in 1-D, quadratic_ball_minimize in 2-D), and so are the
+    hull distances of the second-order component: the appendix makes no
+    minimize_branches call and no SLSQP solve, it warns nothing, and every
     check passes or is skipped, the Moreau check passing."""
     calls = []
-    slsqp = solvers.minimize
 
-    def forbidden(*args, **kwargs):
-        calls.append("minimize_branches")
-        raise AssertionError("minimize_branches called")
-
-    def hull_distances_only(fun, *args, **kwargs):
-        if not fun.__qualname__.startswith("hull_distance."):
-            calls.append(fun.__qualname__)
-            raise AssertionError(f"SLSQP called on {fun.__qualname__}")
-        return slsqp(fun, *args, **kwargs)
-    monkeypatch.setattr(ulagrangian, "minimize_branches", forbidden)
-    monkeypatch.setattr(solvers, "minimize", hull_distances_only)
+    def forbidden(name):
+        def call(*args, **kwargs):
+            calls.append(name)
+            raise AssertionError(f"{name} called")
+        return call
+    monkeypatch.setattr(ulagrangian, "minimize_branches",
+                        forbidden("minimize_branches"))
+    monkeypatch.setattr(solvers, "minimize", forbidden("minimize"))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         manifest, code = run_campaign(problem, "appendix", tmp_path)

@@ -1,13 +1,13 @@
 import time
 import warnings
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import nnls
 
-from vulab import cli, oracle, solvers, tilt, ulagrangian
+from vulab import cli, oracle, solvers, tilt, ulagrangian, vu
 from vulab.errors import SolverBudgetExceeded
 
 from conftest import CROSSING3_BASE, CROSSING3_PROBLEM
@@ -223,8 +223,7 @@ def fermat_residual(max_pieces, A, b, v, radius):
     norm of one convex combination of them.  mu = 0 inside the ball, mu >= 0
     on the sphere.  The weights and mu come from nonnegative least squares
     with a sum-to-one row; the weights are then rescaled onto the simplex.
-    (hull_distance's SLSQP stops about 2e-9 from 0 on some points whose
-    optimality system solves to 1e-16, so it cannot certify 1e-9.)"""
+    (hull_distance cannot take mu, whose normal cone v R+ is unbounded.)"""
     vals = np.array([p.value(v) for p in max_pieces])
     top = float(vals.max())
     active = vals >= top - 1e-9 * (1.0 + abs(top))
@@ -481,19 +480,20 @@ def test_boundary_root_matches_bisection_bit_for_bit(problem):
 
 
 def test_in_ball_tests_do_not_overflow():
-    """A = 1.4e-297 I, b = (1), radius 1: the interior step -A^-1 b and the
-    step at s_min = 1.4e-297 are about 7e296 long.  Both in-ball tests
-    reject them before a sum of squares can overflow, with no
-    floating-point warning, and the only candidate is the boundary root
-    -1, as before the entry test."""
-    A, b = np.array([[1.4e-297]]), np.array([1.0])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        cands = solvers._trust_region_candidates(A, b, 1.0)
-        root = solvers._boundary_root(np.eye(1), b, np.zeros(1), 1.4e-297,
-                                      1.0)
-    assert_bits_equal(cands, [[-1.0]])
-    assert_bits_equal(root, [-1.0])
+    """A = a I, b = (b), radius 1, with (a, b) = (1.4e-297, 1) or
+    (1e-300, 1e10): the interior step -A^-1 b and the step at s_min = a
+    are about 7e296 long, or 1e310, beyond the largest double.  Both
+    in-ball tests reject them before the division or a sum of squares can
+    overflow, with no floating-point warning, and the only candidate is
+    the boundary root -1, as before the entry tests."""
+    for a, b in [(1.4e-297, 1.0), (1e-300, 1e10)]:
+        A, b = np.array([[a]]), np.array([b])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cands = solvers._trust_region_candidates(A, b, 1.0)
+            root = solvers._boundary_root(np.eye(1), b, np.zeros(1), a, 1.0)
+        assert_bits_equal(cands, [[-1.0]])
+        assert_bits_equal(root, [-1.0])
 
 
 def count_step_evaluations(monkeypatch):
@@ -637,3 +637,178 @@ def test_dead_pieces_are_dropped_before_the_subsets(monkeypatch):
         tilt.tilt_map(model, np.zeros(3), 0.05, tilts[1])
         seconds.append(time.perf_counter() - start)
     assert min(seconds) < 0.1
+
+
+def face_enumeration_distance(G, p):
+    """Distance from p to co(G) by enumerating faces: the least norm of the
+    min-norm point of the affine hull of an affinely independent subset of
+    the rows of G - p whose weights, from the (k+1) x (k+1) KKT system,
+    are nonnegative."""
+    P = np.asarray(G, dtype=float) - p
+    best = np.inf
+    for k in range(1, len(P) + 1):
+        for S in combinations(range(len(P)), k):
+            Q = P[list(S)]
+            if np.linalg.matrix_rank(Q[1:] - Q[0]) < k - 1:
+                continue
+            K = np.ones((k + 1, k + 1))
+            K[:k, :k], K[k, k] = Q @ Q.T, 0.0
+            a = np.linalg.solve(K, np.append(np.zeros(k), 1.0))[:k]
+            if a.min() >= -1e-14:
+                best = min(best, float(np.linalg.norm(a @ Q)))
+    return best
+
+
+@st.composite
+def dyadic_hulls(draw):
+    """2-6 generators in R^1 to R^4 on the quarter grid of [-1, 1], a point
+    on the eighth grid of [-1.5, 1.5], and integer weights in 0..4 that are
+    not all 0."""
+    dim = draw(st.integers(1, 4))
+    m = draw(st.integers(2, 6))
+    quarter = st.sampled_from(np.arange(-4, 5) / 4.0)
+    G = np.array(draw(st.lists(st.lists(quarter, min_size=dim, max_size=dim),
+                               min_size=m, max_size=m)))
+    p = np.array(draw(st.lists(st.sampled_from(np.arange(-12, 13) / 8.0),
+                               min_size=dim, max_size=dim)))
+    weights = np.array(draw(st.lists(st.integers(0, 4), min_size=m,
+                                     max_size=m)), dtype=float)
+    if not weights.any():
+        weights[0] = 1.0
+    return G, p, weights
+
+
+@settings(max_examples=300, deadline=None)
+@given(dyadic_hulls())
+def test_hull_distance_matches_face_enumeration(problem):
+    G, p, _ = problem
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        d = solvers.hull_distance(G, p)
+    assert abs(d - face_enumeration_distance(G, p)) <= 1e-12
+
+
+@settings(max_examples=300, deadline=None)
+@given(dyadic_hulls())
+def test_convex_combinations_lie_in_the_hull(problem):
+    G, _, weights = problem
+    p = weights @ G / np.sum(weights)
+    assert solvers.hull_distance(G, p) <= 1e-13
+    assert solvers.in_hull(G, p)
+
+
+FOUR_QUADRANT_POLYTOPE = [[0.0, 0.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, 1.0],
+                          [1.0, -1.0]]
+
+
+@pytest.mark.parametrize("G, p, expect", [
+    ([[1.0, 2.0]], [4.0, 6.0], 5.0),
+    ([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]], [0.0, 0.0],
+     np.sqrt(0.5)),
+    ([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]], [0.5, 0.5], 0.0),
+    ([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]], [2.0, 0.0],
+     np.sqrt(2.0)),
+    ([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]], [4.0, 4.0],
+     np.sqrt(2.0)),
+    ([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]], [1.5, 1.5], 0.0),
+    (FOUR_QUADRANT_POLYTOPE, [0.0, 0.0], 0.0),
+    (FOUR_QUADRANT_POLYTOPE, [0.5, 0.25], 0.0),
+    (FOUR_QUADRANT_POLYTOPE, [2.0, 0.5], 1.0),
+    (FOUR_QUADRANT_POLYTOPE, [3.0, 3.0], np.sqrt(8.0)),
+])
+def test_hull_distance_on_dependent_generators(G, p, expect):
+    """One generator, duplicates, collinear points and the four_quadrant_max
+    polytope (its centre is a generator) read the exact distance."""
+    assert abs(solvers.hull_distance(G, p) - expect) <= 1e-15
+    assert solvers.in_hull(G, p) == (expect == 0.0)
+
+
+# A tetrahedron in R^3 and a point inside it with weights (4, 2, 4, 1) / 11.
+TETRAHEDRON = np.array([[0.25, 0.0, -0.25], [-0.25, -0.75, -0.5],
+                        [0.5, 0.75, 0.5], [-0.25, -0.5, -1.0]])
+
+
+@pytest.mark.parametrize("order", [slice(None), slice(None, None, -1)])
+def test_hull_distance_certifies_an_interior_point(order):
+    """The convex combination (4 G_0 + 2 G_1 + 4 G_2 + G_3) / 11 reads
+    below 1e-13 with the generators in either order (with them reversed,
+    the SLSQP simplex QP read 7.0e-9)."""
+    p = np.array([4.0, 2.0, 4.0, 1.0]) @ TETRAHEDRON / 11.0
+    assert solvers.hull_distance(TETRAHEDRON[order], p) <= 1e-13
+
+
+@st.composite
+def flat_hulls(draw):
+    """A dyadic hull (see dyadic_hulls) squashed along one axis by 2^-k,
+    k in 10..40, and a convex combination of its generators."""
+    G, _, weights = draw(dyadic_hulls())
+    k = draw(st.integers(10, 40))
+    G[:, draw(st.integers(0, G.shape[1] - 1))] *= 2.0 ** -k
+    return G, weights @ G / np.sum(weights), k
+
+
+# 0 = 0.7 G_0 + 0.1 G_1 + 0.2 G_2 inside a triangle 2.5e-7 thick: the
+# segment from G_0 to G_2 passes 1.25e-8 from 0, and G_1's gap to it,
+# 1.6e-15, is below a stop test quadratic in the scale of P.
+THIN_TRIANGLE = np.array([[-1.0, -5e-8], [1.0, -5e-8], [3.0, 2e-7]])
+# Read 6.6e-9 before the residual solve of _affine_min_norm.
+FLAT_SIMPLEX = np.array([[-0.75, 0.0, -0.25, 0.0], [0.25, 0.25, 0.75, -1.0],
+                         [-0.75, 0.0, 0.0, -0.25], [-0.25, 0.5, -0.5, -1.0],
+                         [-0.25, 0.25, 0.0, 0.75]]) * [2.0 ** -23, 1, 1, 1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(flat_hulls())
+@example((THIN_TRIANGLE, np.zeros(2), 22))
+@example((FLAT_SIMPLEX, [0, 0, 2, 1, 3] @ FLAT_SIMPLEX / 6.0, 23))
+def test_convex_combinations_lie_in_a_flat_hull(problem):
+    """Points inside a flat polytope read at most 1e-13 while it is at least
+    2^-26 thick.  Flatter, the weights the corrals need fall below rounding
+    and the reading is bounded by the thickness, below in_hull's 1e-8."""
+    G, p, k = problem
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        d = solvers.hull_distance(G, p)
+    assert d <= (1e-13 if k <= 26 else 2.0 ** -k)
+    assert solvers.in_hull(G, p)
+
+
+def test_hull_distance_stops_when_a_corral_repeats():
+    """Inside this hull, 2^-40 thick, the iterate reaches 4e-29, where
+    rounding takes the method from corral {1, 2, 3, 5} to {1, 2, 3, 4, 5}
+    and back; it stops at the repeat instead of cycling to the budget."""
+    G = np.array([[-3.0, -0.5, 0.0, 0.0], [-3.0, 0.5, -1.0, 0.75],
+                  [4.0, 0.5, 0.5, 0.75], [4.0, 0.25, 0.0, -0.75],
+                  [0.0, 0.5, 0.5, -0.5], [-1.0, -0.25, 0.25, 0.5]])
+    G[:, 0] *= 2.0 ** -40
+    p = np.array([0.0, 4.0, 1.0, 2.0, 0.0, 1.0]) @ G / 8.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert solvers.hull_distance(G, p) <= 1e-13
+
+
+def test_hull_distance_budget_returns_an_upper_bound(monkeypatch):
+    """With one major step allowed the solver warns SolverBudgetExceeded and
+    returns the norm of its iterate, a point of the hull, so no less than
+    the distance; on these two points, one inside and one outside, it is
+    still short of the corral that attains it."""
+    monkeypatch.setattr(solvers, "HULL_MAX_STEPS", 1)
+    for p in ([4.0, 2.0, 4.0, 1.0] @ TETRAHEDRON / 11.0, [-0.5, 0.0, 0.0]):
+        with pytest.warns(SolverBudgetExceeded):
+            d = solvers.hull_distance(TETRAHEDRON, p)
+        assert d > face_enumeration_distance(TETRAHEDRON, p) + 1e-3
+
+
+def test_hull_questions_run_no_scipy(monkeypatch, abs_diff, four_quadrant):
+    """hull_distance, in_hull and vu.rel_interior_contains answer with
+    solvers.minimize and solvers.linprog patched to raise."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("scipy solver called")
+    monkeypatch.setattr(solvers, "minimize", forbidden)
+    monkeypatch.setattr(solvers, "linprog", forbidden)
+    assert solvers.hull_distance(TETRAHEDRON, np.ones(3)) > 0.0
+    assert solvers.in_hull(TETRAHEDRON, np.mean(TETRAHEDRON, axis=0))
+    for model in (abs_diff, four_quadrant):
+        poly = oracle.subdifferential_polytope(model, np.zeros(2))
+        assert vu.rel_interior_contains(poly, np.zeros(2))
+        assert not vu.rel_interior_contains(poly, poly.generators[-1])
