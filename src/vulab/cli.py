@@ -427,11 +427,9 @@ class Runner:
                     x = self.base_point + s * d
                     _, prox, approximate = subjets.prox_points(self.model,
                                                                lam, x)
-                    # prox points farther apart than lam * tol give gradients
-                    # that differ by more than the tolerance: e_lambda has a
-                    # ridge at x (no prox-regularity); closer ones are solver
-                    # twins of one point
-                    if np.linalg.norm(prox - prox[0], axis=1).max() > lam * 1e-5:
+                    # more than one prox point: e_lambda has a ridge at x
+                    # (no prox-regularity)
+                    if len(prox) > 1:
                         set_valued.append({"x": x, "prox": prox})
                         continue
                     capped.append(approximate)

@@ -10,7 +10,8 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
+
+from .solvers import linprog
 
 
 @dataclass

@@ -11,10 +11,22 @@ from itertools import combinations, product
 import warnings
 
 import numpy as np
-# linprog stays bound here because the benchmark tracer wraps solvers.linprog
-from scipy.optimize import linprog, minimize
 
 from .errors import SolverBudgetExceeded
+
+
+def minimize(*args, **kwargs):
+    """`scipy.optimize.minimize`, imported on first call.  The name stays
+    bound here so that stubs and the benchmark tracer can patch it."""
+    from scipy.optimize import minimize
+    return minimize(*args, **kwargs)
+
+
+def linprog(*args, **kwargs):
+    """`scipy.optimize.linprog`, imported on first call.  The name stays
+    bound here so that stubs and the benchmark tracer can patch it."""
+    from scipy.optimize import linprog
+    return linprog(*args, **kwargs)
 
 
 # SLSQP iteration budget and tolerance of every epigraph solve (Nelder-Mead

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vulab import cli, solvers, ulagrangian
+from vulab import cli, solvers, subjets, ulagrangian
 from vulab.errors import BoundaryActive, SolverBudgetExceeded
 
 from conftest import crossing_selection, frame_context
@@ -485,6 +485,34 @@ def test_appendix_skips_moreau_points_with_set_valued_prox(tmp_path):
         np.testing.assert_allclose(prox, [[-a, b], [a, b]], atol=1e-8)
 
 
+def test_appendix_prox_is_set_valued_exactly_when_it_has_two_points(
+        tmp_path, monkeypatch):
+    """argmin_on_ball already merges numerical twins, so the Moreau check
+    names x as set-valued exactly when prox_points returns more than one
+    point, however close they lie.  Here the first point's prox gains a
+    second point 1e-9 away: that x is named with both points, and the
+    other three still count."""
+    exact = subjets.prox_points
+    twinned = []
+
+    def with_twin(model, lam, x):
+        value, prox, approximate = exact(model, lam, x)
+        if not twinned or np.array_equal(x, twinned[0]):
+            twinned.append(np.array(x))
+            prox = np.vstack([prox, prox[0] + 1e-9])
+        return value, prox, approximate
+    monkeypatch.setattr(subjets, "prox_points", with_twin)
+    manifest, code = run_campaign("crossing_max", "appendix", tmp_path)
+    assert code == 0
+    checks = {c["name"]: c for c in
+              manifest["campaigns"]["appendix"]["checks"]}
+    moreau = checks["moreau_gradient_consistency"]
+    assert moreau["status"] == "pass"
+    witness = moreau["detail"]["set_valued"]
+    assert [w["x"] for w in witness] == [twinned[0].tolist()]
+    assert len(witness[0]["prox"]) == 2
+
+
 def test_appendix_of_the_3d_crossing_passes(tmp_path):
     """The 3-D crossing model max{||x||^2 - 2 x3 + 1, x3} at
     (0, 0, (3 - sqrt 5)/2), loaded from JSON: every prox solve of its
@@ -632,19 +660,60 @@ def test_shared_study_keeps_campaign_bytes(tmp_path):
         assert alone["campaigns"][item] == together["campaigns"][item]
 
 
-def test_module_entry_point_runs_cli_once(tmp_path):
-    """`python -m vulab.cli` runs the module once: the package imports cli
-    lazily, so runpy does not warn that it found it in sys.modules."""
+def fresh_python(*args):
+    """Run a fresh interpreter with this checkout's src/ first on
+    PYTHONPATH."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    done = subprocess.run(
-        [sys.executable, "-m", "vulab.cli", "decompose", "--problem",
-         "huber_source_abs", "--out", str(tmp_path / "out")],
-        env=env, capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_module_entry_point_runs_cli_once(tmp_path):
+    """`python -m vulab.cli` runs the module once: the package imports cli
+    lazily, so runpy does not warn that it found it in sys.modules."""
+    done = fresh_python("-m", "vulab.cli", "decompose", "--problem",
+                        "huber_source_abs", "--out", str(tmp_path / "out"))
     assert done.returncode == 0, done.stderr
     assert "found in sys.modules" not in done.stderr
+
+
+def test_importing_the_cli_loads_no_scipy():
+    """scipy.optimize is imported on the first SLSQP or HiGHS call, not
+    with vulab: a fresh `import vulab.cli` leaves scipy unloaded, and the
+    first solvers.linprog call loads scipy.optimize."""
+    done = fresh_python("-c", "\n".join([
+        "import sys, vulab.cli",
+        "from vulab import solvers",
+        "print([m for m in ('scipy', 'scipy.optimize') if m in sys.modules])",
+        "solvers.linprog([1.0], bounds=[(0.0, 1.0)])",
+        "print('scipy.optimize' in sys.modules)"]))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["[]", "True"]
+
+
+def test_exact_campaigns_never_import_scipy_optimize(tmp_path):
+    """Campaigns whose every solve is exact (ball solves, hull distances,
+    grid transforms) run in a fresh process, exit 0 and never import
+    scipy.optimize."""
+    runs = [["crossing_max", c] for c in ("tilt-test", "lagrangian",
+                                          "subjet", "appendix")]
+    runs.append(["abs_diff", "all"])
+    done = fresh_python("-c", "\n".join([
+        "import contextlib, io, json, sys",
+        "from vulab import cli",
+        "seen = []",
+        "for problem, campaign, out in json.loads(sys.argv[1]):",
+        "    with contextlib.redirect_stdout(io.StringIO()):",
+        "        code = cli.main([campaign, '--problem', problem, '--out', out])",
+        "    seen.append([problem, campaign, code,",
+        "                 'scipy.optimize' in sys.modules])",
+        "print(json.dumps(seen))"]),
+        json.dumps([[p, c, str(tmp_path / f"{p}_{c}")] for p, c in runs]))
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [[p, c, 0, False] for p, c in runs]
 
 
 def test_package_exposes_cli_lazily():

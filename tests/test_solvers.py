@@ -5,9 +5,10 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+import scipy.optimize
 from scipy.optimize import nnls
 
-from vulab import cli, oracle, solvers, tilt, ulagrangian, vu
+from vulab import cli, envelope, oracle, solvers, tilt, ulagrangian, vu
 from vulab.errors import SolverBudgetExceeded
 
 from conftest import CROSSING3_BASE, CROSSING3_PROBLEM
@@ -812,3 +813,37 @@ def test_hull_questions_run_no_scipy(monkeypatch, abs_diff, four_quadrant):
         poly = oracle.subdifferential_polytope(model, np.zeros(2))
         assert vu.rel_interior_contains(poly, np.zeros(2))
         assert not vu.rel_interior_contains(poly, poly.generators[-1])
+
+
+def test_envelope_lps_go_through_the_solvers_forwarder():
+    """envelope takes linprog from solvers, so one patch of solvers.linprog
+    (a stub, or the benchmark tracer's wrapper) covers every HiGHS LP."""
+    assert envelope.linprog is solvers.linprog
+
+
+def test_forwarders_pass_arguments_and_results_through():
+    """solvers.minimize and solvers.linprog give what a direct
+    scipy.optimize call with the same arguments gives: one SLSQP epigraph
+    solve and one tiny LP."""
+    def fun(y):
+        return (y[0] - 1.0) ** 2 + (y[1] - 2.5) ** 2
+    slsqp = ((fun, np.array([2.0, 0.0])),
+             {"method": "SLSQP", "options": {"maxiter": 100, "ftol": 1e-14},
+              "constraints": [{"type": "ineq",
+                               "fun": lambda y: y[0] - 2.0 * y[1] + 2.0}]})
+    got = solvers.minimize(*slsqp[0], **slsqp[1])
+    expect = scipy.optimize.minimize(*slsqp[0], **slsqp[1])
+    assert type(got) is type(expect)
+    assert (got.status, got.nit, got.nfev, got.message) == \
+        (expect.status, expect.nit, expect.nfev, expect.message)
+    assert_bits_equal(got.x, expect.x)
+    assert_bits_equal(got.fun, expect.fun)
+    lp = ([1.0, 2.0, 0.5],)
+    lp_kwargs = {"A_eq": [[1.0, 1.0, 1.0]], "b_eq": [1.0],
+                 "bounds": (0.0, None), "method": "highs"}
+    got = solvers.linprog(*lp, **lp_kwargs)
+    expect = scipy.optimize.linprog(*lp, **lp_kwargs)
+    assert (got.status, got.message) == (expect.status, expect.message)
+    assert_bits_equal(got.x, expect.x)
+    assert_bits_equal(got.fun, expect.fun)
+    assert_bits_equal(got.eqlin.marginals, expect.eqlin.marginals)
